@@ -22,7 +22,20 @@ Shredding interacts with the hierarchy through
 Two datapaths serve loads and stores:
 
 * :meth:`CacheHierarchy.access` — the scalar reference walk, one
-  Python call per access.
+  Python call per access. Its head is an L1-hit fast path for the
+  common case of the closed-loop figures. In timing mode only, it
+  serves two cases and returns the same outcome the full walk would:
+
+  - a read of a block resident in the core's L1: one L1 hit and one
+    recency touch;
+  - a store with no ``data`` or ``merge``, to a block resident in the
+    core's L1 whose directory entry is owned by this core in
+    ``MODIFIED``: one L1 hit, one recency touch, and the L4 line's
+    dirty bit. With that owner and state ``directory.write`` is a
+    no-op, because the block's sharers are exactly this core.
+
+  Every other access takes the full walk: misses, an ``EXCLUSIVE`` or
+  shared block being stored to, and all functional-mode accesses.
 * :meth:`CacheHierarchy.access_many` — the bulk walk: one pass over an
   epoch's aligned-address run with the per-level probes inlined against
   the flat array-backed set state (``way_tags`` + policy stamp arrays),
@@ -40,7 +53,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
 from ..errors import AddressError
-from .cache import Eviction, SetAssociativeCache
+from .cache import _SLOTS, Eviction, SetAssociativeCache
 from .coherence import CoherenceDirectory, DirectoryEntry, MESIState
 
 
@@ -62,7 +75,7 @@ class PageInvalidation:
     private_invalidations: int = 0
 
 
-@dataclass
+@dataclass(**_SLOTS)
 class HierarchyAccess:
     """Outcome of one load or store issued by a core."""
 
@@ -183,6 +196,30 @@ class CacheHierarchy:
         """
         if core < 0 or core >= self.num_cores:
             raise AddressError(f"no such core {core}")
+        if not self.functional:
+            # L1-hit head (see the module docstring for its exact
+            # preconditions); anything else falls through to the walk.
+            block = address // self.block_size
+            l1 = self.l1[core]
+            location = l1._index.get(block)
+            if location is not None:
+                aligned = block * self.block_size
+                if not is_write:
+                    l1.stats.hits += 1
+                    l1.policy.touch(location[0], location[1])
+                    return HierarchyAccess(aligned, False, l1.latency_cycles,
+                                           "L1")
+                entry = self.directory._entries.get(aligned)
+                if (entry is not None and entry.owner == core
+                        and entry.state is MESIState.MODIFIED
+                        and data is None and merge is None):
+                    l4_line = self.l4.peek(aligned)
+                    if l4_line is not None:
+                        l1.stats.hits += 1
+                        l1.policy.touch(location[0], location[1])
+                        l4_line.dirty = True
+                        return HierarchyAccess(aligned, True,
+                                               l1.latency_cycles, "L1")
         address = self._align(address)
         latency = self.config.l1.latency_cycles
         writeback_count = 0

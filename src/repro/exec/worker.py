@@ -122,29 +122,35 @@ class WorkerServer:
         requests, or when :meth:`close` is called from another thread.
         """
         self.bind()
-        assert self._socket is not None
+        listener = self._socket
+        assert listener is not None
         try:
             while not self._shutdown:
                 if self.max_tasks is not None \
                         and self.tasks_served >= self.max_tasks:
                     break
                 try:
-                    connection, _ = self._socket.accept()
+                    connection, _ = listener.accept()
                 except OSError:
-                    break       # socket closed under us: clean stop
+                    break       # socket shut down under us: clean stop
                 with contextlib.closing(connection):
                     self._handle(connection)
         finally:
             self.close()
 
     def close(self) -> None:
+        """Stop serving and release the socket.
+
+        Closing a listening socket does not wake a thread blocked in
+        ``accept()`` on Linux; shutting it down first does, so a
+        :meth:`serve_forever` on another thread returns promptly.
+        """
         self._shutdown = True
-        if self._socket is not None:
-            try:
-                self._socket.close()
-            except OSError:     # pragma: no cover - double close
-                pass
-            self._socket = None
+        listener, self._socket = self._socket, None
+        if listener is not None:
+            with contextlib.suppress(OSError):   # not connected (BSDs)
+                listener.shutdown(socket.SHUT_RDWR)
+            listener.close()
 
     # -- request handling -----------------------------------------------------------
 

@@ -123,6 +123,9 @@ class Kernel:
             if entry.ppn != self.zero_page_ppn:
                 self.allocator.free(entry.ppn)
                 freed += 1
+        # Execution contexts probe the live table directly; emptying it
+        # sends a stale context back to translate(), which raises.
+        process.page_table.clear()
         return freed
 
     def mmap(self, pid: int, length: int, *, huge: bool = False) -> Region:

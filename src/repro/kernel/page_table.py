@@ -51,6 +51,19 @@ class PageTable:
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
         return self._entries.get(vpn)
 
+    @property
+    def entries(self) -> Dict[int, PageTableEntry]:
+        """The live vpn -> entry mapping, for read-only probes.
+
+        Callers that hold on to it see every later map, unmap and
+        :meth:`clear`, so it never needs invalidating.
+        """
+        return self._entries
+
+    def clear(self) -> None:
+        """Drop every mapping in place (process teardown)."""
+        self._entries.clear()
+
     def translate(self, vaddr: int, *, write: bool) -> int:
         """Resolve a virtual address, raising on any fault condition."""
         entry = self._entries.get(self.vpn_of(vaddr))

@@ -1,14 +1,17 @@
 """Counters collected by memory devices and controllers.
 
-Since the telemetry layer (:mod:`repro.obs`) landed, the numbers live
-in :class:`~repro.obs.MetricsRegistry` counters and
-:class:`MemoryStats` is a *view* over them: construct it bound to a
-registry and prefix (``MemoryStats(registry=reg, prefix="mem.nvm")``)
-and every ``record_read``/``record_write`` feeds instruments named
-``mem.nvm.reads``, ``mem.nvm.writes`` and so on, which exporters then
-dump alongside the rest of the stack. Constructed bare, it owns a
-private registry and behaves exactly like the original dataclass —
-same attributes, properties and ``snapshot()``.
+The numbers are published to a :class:`~repro.obs.MetricsRegistry`:
+construct :class:`MemoryStats` bound to a registry and prefix
+(``MemoryStats(registry=reg, prefix="mem.nvm")``) and its totals appear
+as counters named ``mem.nvm.reads``, ``mem.nvm.writes`` and so on, which
+exporters then dump alongside the rest of the stack. Constructed bare,
+it owns a private registry and behaves exactly like the original
+dataclass — same attributes, properties and ``snapshot()``.
+
+``record_read``/``record_write`` run once per device or channel
+transaction, so they only add to plain attributes. The registry sees
+the totals through a pull collector that :meth:`MetricsRegistry.snapshot`
+runs, which publishes them with ``Counter.set_total``.
 """
 
 from __future__ import annotations
@@ -56,33 +59,35 @@ class MemoryStats:
                 unit=unit)
             for name, unit in _COUNTER_FIELDS
         }
+        self._zero()
+        registry.register_collector(self._publish)
+
+    def _zero(self) -> None:
+        for name, _unit in _COUNTER_FIELDS:
+            setattr(self, name, 0)
+
+    def _publish(self) -> None:
+        """Pull collector: publish the running totals to the registry."""
+        for name, counter in self._counters.items():
+            counter.set_total(getattr(self, name))
 
     # -- recording ----------------------------------------------------------------
 
     def record_read(self, nbytes: int, latency_ns: float, energy_pj: float) -> None:
-        counters = self._counters
-        counters["reads"].inc()
-        counters["bytes_read"].inc(nbytes)
-        counters["total_read_latency_ns"].inc(latency_ns)
-        counters["read_energy_pj"].inc(energy_pj)
+        self.reads += 1
+        self.bytes_read += nbytes
+        self.total_read_latency_ns += latency_ns
+        self.read_energy_pj += energy_pj
 
     def record_write(self, nbytes: int, bits_flipped: int, latency_ns: float,
                      energy_pj: float) -> None:
-        counters = self._counters
-        counters["writes"].inc()
-        counters["bytes_written"].inc(nbytes)
-        counters["bits_written"].inc(bits_flipped)
-        counters["total_write_latency_ns"].inc(latency_ns)
-        counters["write_energy_pj"].inc(energy_pj)
+        self.writes += 1
+        self.bytes_written += nbytes
+        self.bits_written += bits_flipped
+        self.total_write_latency_ns += latency_ns
+        self.write_energy_pj += energy_pj
 
-    # -- the dataclass-compatible view ----------------------------------------------
-
-    def __getattr__(self, name: str):
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return counters[name].value
-        raise AttributeError(f"{type(self).__name__!r} object has no "
-                             f"attribute {name!r}")
+    # -- derived values -------------------------------------------------------------
 
     @property
     def total_energy_pj(self) -> float:
@@ -117,10 +122,14 @@ class MemoryStats:
         multi-device aggregation for exporters; adds, never replaces,
         so repeated snapshots don't double-count)."""
         for name, _unit in _COUNTER_FIELDS:
-            self._counters[name].inc(getattr(other, name))
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def reset(self) -> None:
-        """Zero every counter in place, keeping the registry binding
-        (replacing the object would orphan the bound instruments)."""
+        """Zero every total in place, keeping the registry binding.
+
+        The bound counters are zeroed too, so the next publish starts
+        from zero instead of going backwards.
+        """
+        self._zero()
         for counter in self._counters.values():
             counter.reset()

@@ -34,6 +34,9 @@ class ExecutionContext:
         self._issue_cycles = system.config.kernel.store_issue_cycles
         self._l4_bytes = system.config.l4.size_bytes
         self._zero_block = bytes(self.block_size)
+        # The process's live page table (not a copy), probed before
+        # falling back to Kernel.translate.
+        self._page_entries = self.kernel.processes[pid].page_table.entries
         self.tlb = None
         if system.config.cpu.tlb_entries > 0:
             from ..cpu.tlb import TLB
@@ -55,7 +58,15 @@ class ExecutionContext:
     # -- translation ----------------------------------------------------------------
 
     def _translate(self, vaddr: int, *, write: bool) -> int:
-        if self.tlb is not None:
+        if self.tlb is None:
+            # No modelled TLB: a mapped page with sufficient permission
+            # resolves exactly as Kernel.translate's first step would.
+            # Unmapped pages, writes to read-only (zero-page) mappings
+            # and negative addresses fall through to the kernel.
+            entry = self._page_entries.get(vaddr // self.page_size)
+            if entry is not None and (entry.writable or not write):
+                return entry.ppn * self.page_size + vaddr % self.page_size
+        else:
             vpn = vaddr // self.page_size
             ppn = self.tlb.lookup(vpn, write=write)
             if ppn is not None:
@@ -99,14 +110,16 @@ class ExecutionContext:
     def touch(self, vaddr: int, *, write: bool) -> None:
         """Block-granularity timing access without data semantics."""
         physical = self._translate(vaddr, write=write)
+        core = self.core
         if write:
             merge = (0, self._zero_block) if self.functional else None
-            access = self.machine.store(self.core_id, physical,
-                                        now_ns=self.core.now_ns, merge=merge)
-            self.core.store(access.latency_cycles)
+            access = self.machine.hierarchy.access(
+                self.core_id, physical, True, now_ns=core.now_ns, merge=merge)
+            core.store(access.latency_cycles)
         else:
-            access = self.machine.load(self.core_id, physical, self.core.now_ns)
-            self.core.load(access.latency_cycles)
+            access = self.machine.hierarchy.access(
+                self.core_id, physical, False, now_ns=core.now_ns)
+            core.load(access.latency_cycles)
 
     # -- bulk operations -----------------------------------------------------------------
 

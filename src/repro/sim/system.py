@@ -211,9 +211,9 @@ class System:
         from ..kernel.zeroing import ZeroingStats
         machine = self.machine
         machine.controller.stats = SecureMemoryStats()
-        # Device/channel stats are registry-backed views: reset them in
-        # place so their bound instruments stay live (replacing them
-        # would orphan the registry's counters).
+        # Device/channel stats publish through collectors they hold on
+        # the registry: reset them in place so those collectors stay
+        # bound (a replacement would leave the old object publishing).
         machine.controller.device.stats.reset()
         machine.controller.mem.stats.reset()
         machine.controller.mem.channels.reset()
@@ -248,11 +248,14 @@ class System:
         """Pull collector: publish dataclass-backed statistics into the
         registry at snapshot time.
 
-        Push-style instruments (``mem.nvm.*``, ``mem.channel.*``,
-        ``mem.ctrl.read_latency_ns``) update inline on the hot path;
-        everything that already has a well-tested dataclass home is
-        published here instead, so the simulation code keeps a single
-        source of truth per statistic.
+        Everything that already has a well-tested dataclass home is
+        published here, so the simulation code keeps a single source of
+        truth per statistic. The device and channel totals
+        (``mem.nvm.*``, ``mem.channel.*``; ``mem.device.*`` for a bare
+        device) are pull-published the same way, at snapshot time, by
+        the collector each :class:`~repro.mem.MemoryStats` registers.
+        Only the ``mem.ctrl.read_latency_ns`` histogram still updates
+        inline on the hot path.
         """
         registry = self.metrics
         ctl = self.machine.controller.stats

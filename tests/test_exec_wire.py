@@ -4,6 +4,7 @@ import socket
 import stat
 import struct
 import threading
+import time
 
 import pytest
 
@@ -210,6 +211,7 @@ class TestWorkerServer:
         finally:
             server.close()
             thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_bad_run_request_survives_server(self):
         """A junk experiment produces an error reply, not a dead worker."""
@@ -224,6 +226,7 @@ class TestWorkerServer:
         finally:
             server.close()
             thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_max_tasks_bounds_lifetime(self):
         server = WorkerServer(max_tasks=1)
@@ -247,3 +250,56 @@ class TestWorkerServer:
         finally:
             server.close()
             thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestServersStopPromptly:
+    """Every serving thread exits within about a second of close() —
+    including one blocked in accept(), which closing a listening socket
+    alone does not wake on Linux."""
+
+    LIMIT = 1.0
+
+    def assert_stops(self, thread, close):
+        started = time.monotonic()
+        close()
+        thread.join(timeout=self.LIMIT)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < self.LIMIT
+
+    def test_worker_server_blocked_in_accept(self):
+        server = WorkerServer()
+        server.bind()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        time.sleep(0.1)     # let it block in accept()
+        self.assert_stops(thread, server.close)
+
+    def test_cluster_server(self):
+        from repro.exec import ClusterServer
+        server = ClusterServer()
+        server.start()
+        thread = server._thread
+        self.assert_stops(thread, server.close)
+
+    def test_metrics_http_server(self):
+        from repro.obs import MetricsRegistry
+        from repro.obs.scrape import start_metrics_server
+        server = start_metrics_server(MetricsRegistry())
+        thread = server._thread
+        self.assert_stops(thread, server.close)
+
+    def test_registered_worker_leaves_when_dispatcher_closes(self):
+        from repro.exec import ClusterServer
+        from repro.exec.worker import run_registered_worker
+        server = ClusterServer()
+        server.start()
+        registered = threading.Event()
+        thread = threading.Thread(
+            target=run_registered_worker, args=(server.endpoint,),
+            kwargs={"announce": lambda _line: registered.set(),
+                    "connect_window": 0.0},
+            daemon=True)
+        thread.start()
+        assert registered.wait(timeout=10)
+        self.assert_stops(thread, server.close)

@@ -209,6 +209,162 @@ class TestAccessManyEquivalence:
         assert bulk.fast_hits + bulk.slow_path == bulk.runs
 
 
+def count_walks(hierarchy: CacheHierarchy) -> List[int]:
+    """Record every access that takes the full walk of ``access()``.
+
+    The L1-hit head returns before the walk aligns the address, so
+    ``_align`` runs exactly once per full walk.
+    """
+    walks: List[int] = []
+    align = hierarchy._align
+
+    def spy(address: int) -> int:
+        walks.append(address)
+        return align(address)
+
+    hierarchy._align = spy
+    return walks
+
+
+class TestScalarFastPath:
+    """The L1-hit head of ``access()`` against the bulk transcription.
+
+    Each case replays a fixed stream through both walks (comparing
+    details, state signatures and memory traffic, as above) and checks
+    which scalar accesses took the full walk.
+    """
+
+    A, B = 0, 5 * BLOCK
+
+    def replay(self, tiny_config_factory, stream, functional=False):
+        pairs = build_pair(tiny_config_factory, functional)
+        walks = count_walks(pairs[0][0])
+        cores = [core for core, _, _ in stream]
+        addresses = [address for _, address, _ in stream]
+        ops = [w for _, _, w in stream]
+        payloads = [bytes([i + 1]) * BLOCK if (w and functional) else None
+                    for i, w in enumerate(ops)]
+        assert_bulk_equivalent(pairs, cores, addresses, ops, payloads,
+                               functional, None)
+        return pairs[0][0], walks
+
+    def test_l1_resident_timing_read(self, tiny_config_factory):
+        hierarchy, walks = self.replay(tiny_config_factory, [
+            (0, self.A, False), (0, self.B, False), (0, self.A + 8, False)])
+        assert walks == [self.A, self.B]
+        assert hierarchy.l1[0].stats.hits == 1
+
+    def test_store_by_modified_owner(self, tiny_config_factory):
+        hierarchy, walks = self.replay(tiny_config_factory, [
+            (0, self.A, True), (0, self.B, False), (0, self.A, True)])
+        assert walks == [self.A, self.B]
+        assert hierarchy.l4.peek(self.A).dirty
+
+    def test_store_to_exclusive_block_upgrades_on_full_walk(
+            self, tiny_config_factory):
+        hierarchy, walks = self.replay(tiny_config_factory, [
+            (0, self.A, False), (0, self.B, False), (0, self.A, True),
+            (0, self.B, False), (0, self.A, True)])
+        # The read leaves A EXCLUSIVE, so the first store walks; the
+        # second finds it MODIFIED and takes the head.
+        assert walks == [self.A, self.B, self.A]
+        entry = hierarchy.directory._entries[self.A]
+        assert (entry.owner, entry.state.name) == (0, "MODIFIED")
+
+    def test_store_to_block_resident_in_other_core(self, tiny_config_factory):
+        hierarchy, walks = self.replay(tiny_config_factory, [
+            (0, self.A, True), (1, self.A, False), (0, self.A, True),
+            (1, self.A, False)])
+        # Core 1's read downgrades A to SHARED with both L1s holding
+        # it, so core 0's next store walks and invalidates core 1.
+        assert walks == [self.A] * 4
+        assert hierarchy.directory.stats.invalidations_sent == 1
+
+    def test_functional_stores_never_take_the_head(self, tiny_config_factory):
+        stream = [(0, self.A, True), (0, self.B, False), (0, self.A, True),
+                  (0, self.A, False)]
+        _, walks = self.replay(tiny_config_factory, stream, functional=True)
+        assert walks == [self.A, self.B, self.A, self.A]
+
+    @pytest.mark.parametrize("functional", [True, False])
+    def test_data_and_merge_stores_never_take_the_head(
+            self, tiny_config_factory, functional):
+        hierarchy, _ = build_pair(tiny_config_factory, functional)[0]
+        walks = count_walks(hierarchy)
+        hierarchy.access(0, self.A, True, data=bytes(BLOCK))
+        hierarchy.access(0, self.A, True, merge=(8, b"\x07" * 8))
+        hierarchy.access(0, self.A, True, data=None, merge=(0, b"\x01"))
+        assert walks == [self.A] * 3
+        expected = (b"\x01" + bytes(7) + b"\x07" * 8 + bytes(BLOCK - 16)
+                    if functional else None)
+        assert hierarchy.l4.peek(self.A).payload == expected
+
+
+class TestTouchTwin:
+    """``ExecutionContext.touch`` against the datapath it replaces:
+    ``Kernel.translate`` plus ``CacheHierarchy.access`` called
+    directly, with the fault stall and core retirement in between."""
+
+    @staticmethod
+    def stream(seed: int, pages: int, count: int):
+        import random
+        rng = random.Random(seed)
+        hot = [rng.randrange(pages * PAGE) for _ in range(12)]
+        out = []
+        for _ in range(count):
+            offset = (rng.choice(hot) if rng.random() < 0.7
+                      else rng.randrange(pages * PAGE))
+            out.append((rng.randrange(2), offset, rng.random() < 0.35))
+        return out
+
+    @staticmethod
+    def twin_touch(system, ctx, vaddr: int, write: bool) -> None:
+        core = ctx.core
+        result = system.kernel.translate(ctx.pid, vaddr, write=write,
+                                         core=ctx.core_id,
+                                         now_ns=core.now_ns)
+        if result.fault_ns:
+            core.stall(result.fault_ns / system.config.cpu.cycle_ns,
+                       fault=True)
+        merge = (0, bytes(BLOCK)) if system.machine.functional else None
+        access = system.machine.hierarchy.access(
+            ctx.core_id, result.physical, write, now_ns=core.now_ns,
+            merge=merge if write else None)
+        if write:
+            core.store(access.latency_cycles)
+        else:
+            core.load(access.latency_cycles)
+
+    @pytest.mark.parametrize("functional", [False, True])
+    def test_touch_matches_translate_plus_access(self, tiny_config_factory,
+                                                 functional):
+        from dataclasses import asdict, replace
+        config = replace(tiny_config_factory(), functional=functional)
+        pages = 6
+        stream = self.stream(99, pages, 1500)
+        systems = [System(config, name="twin") for _ in range(2)]
+        bases = []
+        for system in systems:
+            contexts = [system.new_context(0), system.new_context(1)]
+            bases.append([ctx.malloc(pages * PAGE) for ctx in contexts])
+        for core_id, offset, write in stream:
+            touched = systems[0].contexts[core_id]
+            touched.touch(bases[0][core_id] + offset, write=write)
+            self.twin_touch(systems[1], systems[1].contexts[core_id],
+                            bases[1][core_id] + offset, write)
+            touched.compute(3)
+            systems[1].contexts[core_id].compute(3)
+
+        one, two = systems
+        assert state_signature(one.machine.hierarchy) == \
+            state_signature(two.machine.hierarchy)
+        assert [asdict(c.stats) for c in one.cores] == \
+            [asdict(c.stats) for c in two.cores]
+        assert asdict(one.kernel.stats) == asdict(two.kernel.stats)
+        assert one.kernel.stats.cow_faults > 0
+        assert one.report().to_dict() == two.report().to_dict()
+
+
 class TestKernelSweeps:
     """The two kernel backends are element-for-element interchangeable."""
 

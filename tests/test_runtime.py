@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import AddressError, SimulationError
 from repro.runtime import SimArray
 from repro.sim import System
 
@@ -15,6 +15,83 @@ def system(tiny_config):
 @pytest.fixture
 def ctx(system):
     return system.new_context(0)
+
+
+class TestTranslationProbe:
+    """With no modelled TLB, contexts resolve mapped pages straight from
+    the live page table; everything else must still reach the kernel
+    and behave exactly as ``Kernel.translate`` does."""
+
+    @staticmethod
+    def count_translations(system):
+        calls = []
+        translate = system.kernel.translate
+
+        def spy(pid, vaddr, **kwargs):
+            calls.append((vaddr, kwargs["write"]))
+            return translate(pid, vaddr, **kwargs)
+
+        system.kernel.translate = spy
+        return calls
+
+    def test_first_read_maps_zero_page_once(self, system, ctx):
+        calls = self.count_translations(system)
+        base = ctx.malloc(4096)
+        for offset in (0, 64, 0, 128):
+            ctx.touch(base + offset, write=False)
+        assert system.kernel.stats.minor_faults == 1
+        assert system.kernel.stats.cow_faults == 0
+        entry = system.kernel.processes[ctx.pid].page_table.lookup(
+            base // 4096)
+        assert entry.ppn == system.kernel.zero_page_ppn
+        assert calls == [(base, False)]     # later reads hit the probe
+
+    def test_first_write_after_read_takes_cow_fault(self, system, ctx):
+        calls = self.count_translations(system)
+        base = ctx.malloc(4096)
+        ctx.touch(base, write=False)
+        ctx.touch(base + 64, write=True)
+        ctx.touch(base + 128, write=True)
+        ctx.touch(base + 192, write=False)
+        assert system.kernel.stats.minor_faults == 1
+        assert system.kernel.stats.cow_faults == 1
+        entry = system.kernel.processes[ctx.pid].page_table.lookup(
+            base // 4096)
+        assert entry.writable and entry.ppn != system.kernel.zero_page_ppn
+        # The read-only zero-page mapping sends the write to the kernel.
+        assert calls == [(base, False), (base + 64, True)]
+
+    def test_write_to_unmapped_address_raises(self, ctx):
+        with pytest.raises(AddressError):
+            ctx.touch(0xDEAD0000, write=True)
+
+    def test_negative_address_raises(self, ctx):
+        ctx.malloc(4096)
+        with pytest.raises(AddressError):
+            ctx.touch(-64, write=False)
+        with pytest.raises(AddressError):
+            ctx.touch(-4096, write=True)
+
+    def test_touch_after_munmap_faults(self, system, ctx):
+        region = system.kernel.mmap(ctx.pid, 4096)
+        ctx.touch(region.start, write=True)
+        system.kernel.munmap(ctx.pid, region)
+        with pytest.raises(AddressError):
+            ctx.touch(region.start, write=False)
+        with pytest.raises(AddressError):
+            ctx.touch(region.start, write=True)
+
+    def test_context_after_exit_raises(self, system, ctx):
+        base = ctx.malloc(4096)
+        ctx.touch(base, write=True)
+        ctx.touch(base + 64, write=False)
+        table = system.kernel.processes[ctx.pid].page_table
+        system.kernel.exit_process(ctx.pid)
+        assert len(table) == 0
+        with pytest.raises(SimulationError):
+            ctx.touch(base, write=False)
+        with pytest.raises(SimulationError):
+            ctx.touch(base + 64, write=True)
 
 
 class TestScalarAccess:
