@@ -148,7 +148,7 @@ class SecureMemoryController:
         if wear_leveler is not None and config.functional:
             def _move(src_line: int, dst_line: int,
                       _device=device, _bs=self.block_size) -> None:
-                _device.poke(dst_line * _bs, _device.peek(src_line * _bs))
+                _device.move_line(src_line * _bs, dst_line * _bs)
             wear_leveler.move_hook = _move
         self.mem = MemoryController.for_nvm(device, config.nvm,
                                             wear_leveler=wear_leveler,

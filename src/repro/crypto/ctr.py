@@ -18,10 +18,11 @@ from .cipher import BlockCipher
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
+    """XOR two equal-length byte strings (one big-integer XOR)."""
     if len(a) != len(b):
         raise CipherError(f"xor operands differ in length: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "little")
+            ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 class CounterModeEngine:
@@ -57,20 +58,17 @@ class CounterModeEngine:
         if iv_bytes[-1] != 0:
             raise CipherError("IV padding byte must be zero (reserved for "
                               "pad segment indices)")
-        pad_parts = []
-        prefix = iv_bytes[:-1]
-        for segment in range(self.segments):
-            pad_parts.append(self.cipher.encrypt_block(prefix + bytes([segment])))
+        pad = self.cipher.encrypt_segments(iv_bytes[:-1], self.segments)
         self.pads_generated += 1
-        return b"".join(pad_parts)
+        return pad
 
     def pads_for_ivs(self, ivs: Iterable[bytes]) -> list:
         """Produce pads for a group of logical IVs in order.
 
-        The grouped entry point the batch engine drives: semantically
-        identical to mapping :meth:`pad_for_iv` over ``ivs`` (including
-        the ``pads_generated`` accounting), but a single call through
-        the cipher seam per epoch group.
+        The grouped entry point the batch engine drives: it maps
+        :meth:`pad_for_iv` over ``ivs`` (including the
+        ``pads_generated`` accounting), so each IV costs one
+        :meth:`~repro.crypto.cipher.BlockCipher.encrypt_segments` call.
         """
         return [self.pad_for_iv(iv) for iv in ivs]
 

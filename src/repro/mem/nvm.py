@@ -22,6 +22,7 @@ matters more than bit-flip tricks.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Optional
 
 from ..config import NVMConfig
@@ -32,8 +33,25 @@ from .device import MemoryDevice
 FNW_WORD_BITS = 32
 
 
+def _popcount_fallback(value: int) -> int:
+    """Population count for Python 3.9, which lacks ``int.bit_count``."""
+    return bin(value).count("1")
+
+
+_popcount = getattr(int, "bit_count", _popcount_fallback)
+
+
 class NVMDevice(MemoryDevice):
-    """Phase-change-memory-like device with wear and write optimisation."""
+    """Phase-change-memory-like device with wear and write optimisation.
+
+    ``bits_written`` follows the write scheme: every cell for
+    ``naive``, the changed cells for ``dcw``, and for ``fnw`` the
+    cheaper of the direct and inverted form per 32-bit word. In the
+    ``fnw`` count the word's flip bit costs one programmed cell
+    whenever the inverted form is chosen, even if the flip bit was
+    already set, and nothing when a word reverts to the direct form,
+    even though that clears the flip bit.
+    """
 
     def __init__(self, config: NVMConfig, block_size: int = 64, *,
                  functional: bool = True, write_scheme: str = "fnw",
@@ -96,26 +114,26 @@ class NVMDevice(MemoryDevice):
 
         diff = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
         if self.write_scheme == "dcw":
-            return bin(diff).count("1")
+            return _popcount(diff)
 
         # Flip-N-Write over 32-bit words: for each word choose between
         # writing the new value or its complement, whichever flips fewer
-        # stored cells given the word's current flip bit.
+        # stored cells given the word's current flip bit. What is stored
+        # is the old word, inverted when its flip bit is set, so the
+        # direct write programs popcount(old ^ new) cells, or 32 minus
+        # that for a flipped word; the inverted write programs the other
+        # cells, since stored ^ ~new == ~(stored ^ new).
         flips = 0
         flip_state = self._flip_state.get(address, 0)
         new_flip_state = 0
         words = total_bits // FNW_WORD_BITS
-        mask = (1 << FNW_WORD_BITS) - 1
-        old_int = int.from_bytes(old, "little")
-        new_int = int.from_bytes(new, "little")
-        for w in range(words):
-            shift = w * FNW_WORD_BITS
-            old_word = (old_int >> shift) & mask
-            # What is physically stored is old_word XOR'd per its flip bit.
-            stored = old_word ^ (mask if (flip_state >> w) & 1 else 0)
-            new_word = (new_int >> shift) & mask
-            direct = bin(stored ^ new_word).count("1")
-            flipped = bin(stored ^ (new_word ^ mask)).count("1")
+        diff_words = struct.unpack(f"<{words}I",
+                                   diff.to_bytes(self.block_size, "little"))
+        for w, word in enumerate(diff_words):
+            direct = _popcount(word)
+            if flip_state >> w & 1:
+                direct = FNW_WORD_BITS - direct
+            flipped = FNW_WORD_BITS - direct
             if flipped + 1 < direct:
                 flips += flipped + 1  # +1 for programming the flip bit
                 new_flip_state |= 1 << w
@@ -123,6 +141,26 @@ class NVMDevice(MemoryDevice):
                 flips += direct
         self._flip_state[address] = new_flip_state
         return flips
+
+    def move_line(self, src: int, dst: int) -> None:
+        """Copy line ``src`` to ``dst`` with its FNW flip bits, no stats.
+
+        The wear leveler's line migration: the physical cells move as
+        they are, so ``dst`` takes both the data and the flip state of
+        ``src`` (an absent, all-zero source leaves ``dst`` absent).
+        """
+        self.check_block_address(src)
+        self.check_block_address(dst)
+        data = self._lines.get(src)
+        if data is None:
+            self._lines.pop(dst, None)
+        else:
+            self._lines[dst] = data
+        flip_state = self._flip_state.get(src)
+        if flip_state is None:
+            self._flip_state.pop(dst, None)
+        else:
+            self._flip_state[dst] = flip_state
 
     # -- wear reporting ------------------------------------------------------
 

@@ -1,10 +1,17 @@
 """Counter-mode engine and the fast ciphers."""
 
-import pytest
+import struct
 
-from repro.crypto import (AES128, CounterModeEngine, NullCipher,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto import (AES128, BlockCipher, CounterModeEngine, NullCipher,
                           XorShiftCipher, make_cipher, xor_bytes)
+from repro.crypto.cipher import _splitmix64
 from repro.errors import CipherError
+
+KEY = b"silent-shredder!"
 
 
 def make_iv(value: int) -> bytes:
@@ -27,6 +34,14 @@ class TestXorBytes:
     def test_length_mismatch(self):
         with pytest.raises(CipherError):
             xor_bytes(b"ab", b"abc")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 130).flatmap(
+        lambda n: st.tuples(st.binary(min_size=n, max_size=n),
+                            st.binary(min_size=n, max_size=n))))
+    def test_matches_bytewise_reference(self, operands):
+        a, b = operands
+        assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
 
 
 class TestXorShiftCipher:
@@ -54,6 +69,52 @@ class TestXorShiftCipher:
     def test_bad_key(self):
         with pytest.raises(CipherError):
             XorShiftCipher(b"short")
+
+    # (key, block, ciphertext) known answers for the keystream.
+    KNOWN_ANSWERS = [
+        (KEY, bytes(16), "bc0f481a8fc4b2b75d53dc9dabf0c75c"),
+        (KEY, bytes(range(16)), "017ec9927e68f4fc59c3efe31a9b256e"),
+        (KEY, b"\xff" * 16, "80ce65d7edae66404f6e4c10c0903713"),
+        (KEY, bytes(15) + b"\x03", "69f219eb0740e8d5d50b7e72524a88e9"),
+        (bytes(16), bytes(16), "f555a3a48912ce59f0295094e921406f"),
+        (bytes(16), b"\xff" * 16, "37fa17a3ef38c04c28681ddf62fb1af6"),
+        (bytes(range(16)), bytes(range(16)),
+         "94f9288ffba22890a53e075858bc1d9a"),
+        (bytes(range(16)), bytes(15) + b"\x03",
+         "286eb88a64d8c20c729a7bcfac3a67e3"),
+    ]
+
+    @pytest.mark.parametrize("key,block,expected", KNOWN_ANSWERS)
+    def test_known_answers(self, key, block, expected):
+        assert XorShiftCipher(key).encrypt_block(block).hex() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(min_size=16, max_size=16),
+           st.binary(min_size=16, max_size=16))
+    def test_matches_splitmix64_reference(self, key, block):
+        k0, k1 = struct.unpack("<QQ", key)
+        k0, k1 = _splitmix64(k0), _splitmix64(k1 ^ 0xA5A5A5A5A5A5A5A5)
+        v0, v1 = struct.unpack("<QQ", block)
+        a, b = _splitmix64(v0 ^ k0), _splitmix64(v1 ^ k1)
+        expected = struct.pack(
+            "<QQ", _splitmix64(a ^ (b >> 1) ^ k1),
+            _splitmix64(b ^ (a << 1 & (1 << 64) - 1) ^ k0))
+        assert XorShiftCipher(key).encrypt_block(block) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(min_size=16, max_size=16),
+           st.binary(min_size=15, max_size=15), st.integers(1, 4))
+    def test_segments_match_default_loop(self, key, prefix, count):
+        cipher = XorShiftCipher(key)
+        assert cipher.encrypt_segments(prefix, count) == \
+            BlockCipher.encrypt_segments(cipher, prefix, count)
+
+    @pytest.mark.parametrize("prefix,count", [
+        (bytes(14), 4), (bytes(16), 4), (bytes(15), 257), (bytes(15), -1)],
+        ids=["short-prefix", "long-prefix", "too-many", "negative"])
+    def test_segments_reject_bad_shape(self, prefix, count):
+        with pytest.raises(CipherError):
+            XorShiftCipher(KEY).encrypt_segments(prefix, count)
 
 
 class TestMakeCipher:
@@ -116,3 +177,44 @@ class TestCounterModeEngine:
     def test_block_size_must_divide(self):
         with pytest.raises(CipherError):
             CounterModeEngine(XorShiftCipher(b"k" * 16), block_size=40)
+
+    def test_wrong_iv_length_rejected(self, engine):
+        with pytest.raises(CipherError):
+            engine.pad_for_iv(bytes(15))
+
+    def test_rejected_iv_generates_no_pad(self, engine):
+        for bad_iv in (bytes(17), bytes(15) + b"\x01"):
+            with pytest.raises(CipherError):
+                engine.pad_for_iv(bad_iv)
+        assert engine.pads_generated == 0
+
+    def test_pads_for_ivs_counts_each_pad(self, engine):
+        ivs = [make_iv(i) for i in range(5)]
+        assert engine.pads_for_ivs(ivs) == [engine.pad_for_iv(iv)
+                                            for iv in ivs]
+        assert engine.pads_generated == 10
+
+
+class TestPadKnownAnswers:
+    """Whole 64-byte pads as known answers, one per cipher."""
+
+    def test_xorshift_pad(self):
+        engine = CounterModeEngine(XorShiftCipher(KEY), 64)
+        assert engine.pad_for_iv(make_iv(123456)).hex() == (
+            "9e6c2ddb1325a7b2f0a2842078f1676a5e2745b4106ad43cab76354586c93f76"
+            "1f7ed001e5c307c0ac3bef3124f9f7eff05dcc901f6f10f5e841ce8cc869a98d")
+
+    def test_aes_pads(self):
+        engine = CounterModeEngine(AES128(KEY), 64)
+        assert engine.pad_for_iv(make_iv(123456)).hex() == (
+            "eccbbb7f99828d9c3eebb7ac7461369b5d7d1a3977cbd9fd255ab37bc692ae6c"
+            "fb4879cf62e4567925e68296102d0776db9fad4d202be25c8dfa304e493c5fd6")
+        assert engine.pad_for_iv(bytes(range(1, 16)) + b"\x00").hex() == (
+            "3dcf92cf7187c2e39bb0131bcaedda8ee469f3f7b4bddbe90f10fbedbf2bd248"
+            "4180c2703910f0b8c76e64a3387be649d38f4c21b1b17a7677a245a4f3ef1dac")
+
+    @given(st.binary(min_size=15, max_size=15))
+    def test_null_pad_is_the_stamped_ivs(self, prefix):
+        engine = CounterModeEngine(NullCipher(), 64)
+        assert engine.pad_for_iv(prefix + b"\x00") == b"".join(
+            prefix + bytes((segment,)) for segment in range(4))

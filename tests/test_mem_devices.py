@@ -1,10 +1,13 @@
 """NVM and DRAM device models: remanence, wear, DCW/FNW, energy."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DRAMConfig, NVMConfig
 from repro.errors import AddressError, AlignmentError, EnduranceExceededError
 from repro.mem import DRAMDevice, NVMDevice
+from repro.mem import nvm as nvm_module
 
 
 def nvm(write_scheme="fnw", functional=True, endurance=10_000_000, **kw):
@@ -143,6 +146,68 @@ class TestWriteSchemes:
         bits = device.write_block(0, engine.encrypt(plaintext, iv2))
         assert bits > 64 * 8 // 4, \
             "same plaintext re-encrypted flips a large share of bits"
+
+
+def reference_programmed_bits(scheme, old, new, flip_state):
+    """Reference bit count, one word and two popcounts at a time:
+    returns (bits programmed, new flip state)."""
+    if scheme == "naive":
+        return 64 * 8, flip_state
+    old_int = int.from_bytes(old, "little")
+    new_int = int.from_bytes(new, "little")
+    if scheme == "dcw":
+        return bin(old_int ^ new_int).count("1"), flip_state
+    mask = (1 << 32) - 1
+    flips = 0
+    new_flip_state = 0
+    for w in range(16):
+        shift = w * 32
+        old_word = (old_int >> shift) & mask
+        stored = old_word ^ (mask if (flip_state >> w) & 1 else 0)
+        new_word = (new_int >> shift) & mask
+        direct = bin(stored ^ new_word).count("1")
+        flipped = bin(stored ^ (new_word ^ mask)).count("1")
+        if flipped + 1 < direct:
+            flips += flipped + 1
+            new_flip_state |= 1 << w
+        else:
+            flips += direct
+    return flips, new_flip_state
+
+
+line_payloads = st.one_of(
+    st.binary(min_size=64, max_size=64),
+    st.sampled_from([bytes(64), b"\xff" * 64, b"\x0f" * 64,
+                     b"\xff\xff\x00\x00" * 16]),
+    # Words with popcounts around the 16/17 flip threshold.
+    st.lists(st.sampled_from([0x0000FFFF, 0x0001FFFF, 0xFFFF0000,
+                              0x7FFF8000, 0xFFFFFFFF, 0]),
+             min_size=16, max_size=16).map(
+        lambda words: b"".join(w.to_bytes(4, "little") for w in words)))
+
+
+class TestFlipNWriteEquivalence:
+    """The one-popcount FNW count against the per-word reference, with
+    the flip state evolving over a sequence of writes to one line."""
+
+    @pytest.mark.parametrize("popcount", ["native", "fallback"])
+    @pytest.mark.parametrize("scheme", ["fnw", "dcw", "naive"])
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(line_payloads, min_size=1, max_size=12))
+    def test_sequence_matches_reference(self, scheme, popcount, payloads):
+        with pytest.MonkeyPatch.context() as patch:
+            if popcount == "fallback":
+                patch.setattr(nvm_module, "_popcount",
+                              nvm_module._popcount_fallback)
+            device = nvm(write_scheme=scheme)
+            old, flip_state = bytes(64), 0
+            for payload in payloads:
+                expected, flip_state = reference_programmed_bits(
+                    scheme, old, payload, flip_state)
+                assert device.write_block(128, payload) == expected
+                assert device._flip_state.get(128, 0) == flip_state
+                old = payload
+        assert device.read_block(128) == payloads[-1]
 
 
 class TestEnergy:

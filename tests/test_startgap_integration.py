@@ -78,3 +78,40 @@ class TestWearDistribution:
                 controller.store_block(0, bytes([i % 256]) * 64)
         assert with_gap.device.lifetime_fraction_used() < \
             without.device.lifetime_fraction_used()
+
+
+class TestMoveKeepsFlipBits:
+    """A gap move migrates the physical cells: data and FNW flip bits."""
+
+    def test_moved_line_rewrites_like_in_place(self):
+        controller = make_controller(start_gap=True)
+        device = controller.device
+        device.write_block(0, b"\xff" * 64)     # every flip bit set
+        controller.mem.wear_leveler.move_hook(0, 64)
+        assert device.peek(64 * 64) == b"\xff" * 64
+        moved = device.write_block(64 * 64, b"\xff" * 64)
+        in_place = device.write_block(0, b"\xff" * 64)
+        assert moved == in_place == 16
+
+    def test_absent_source_leaves_destination_absent(self):
+        controller = make_controller(start_gap=True)
+        device = controller.device
+        device.write_block(64 * 64, b"\xff" * 64)
+        controller.mem.wear_leveler.move_hook(0, 64)
+        assert device.peek(64 * 64) == bytes(64)
+        assert 64 * 64 not in device._lines
+        # The destination's flip bits went with its data: a fresh
+        # line's direct write, no flip bits to undo.
+        assert device.write_block(64 * 64, b"\x01" * 64) == 64
+
+    def test_levelling_does_not_change_programmed_bits(self):
+        """Moves carry flip state, so the logical write sequence costs
+        the same cells with and without Start-Gap."""
+        bits = []
+        for start_gap in (False, True):
+            controller = make_controller(start_gap=start_gap, interval=3)
+            for i in range(200):
+                controller.store_block((i % 20) * 64,
+                                       bytes([(i * 37) % 256]) * 64)
+            bits.append(controller.device.stats.bits_written)
+        assert bits[0] == bits[1]
