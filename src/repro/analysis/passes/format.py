@@ -1,10 +1,10 @@
-"""The ``format`` pass family: the old ``tools/lint.py`` gate.
+"""The ``format`` pass family: whitespace and line hygiene.
 
 Pure text checks, no AST needed, applied to every analyzed file:
 syntax errors (emitted by the engine under this family's REPRO001),
 tab characters, trailing whitespace, over-long lines, and a missing
-trailing newline. ``tools/lint.py`` survives as a thin shim that runs
-exactly this family, so existing CI invocations keep working.
+trailing newline. The CI lint job runs exactly this family with
+``python tools/analyze.py --select REPRO001,...,REPRO005``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Reporters for analyzer runs: clickable text, schema'd JSON, SARIF.
 
 The text reporter prints one ``path:line: CODE message`` line per
-violation (the grep/editor/CI-log convention ``tools/lint.py`` always
-used) plus a one-line summary. The JSON reporter emits a versioned
-document that round-trips through :func:`report_from_json`, so other
-tools can consume analyzer output without scraping text. The SARIF
+violation (the grep/editor/CI-log convention) plus a one-line summary.
+The JSON reporter emits a versioned document that round-trips through
+:func:`report_from_json`, so other tools can consume analyzer output
+without scraping text. The SARIF
 reporter emits a SARIF 2.1.0 log for code-scanning upload, so CI
 findings land as inline PR annotations.
 """

@@ -9,9 +9,8 @@ Set state is array-backed: :attr:`SetAssociativeCache.way_tags` is a
 flat ``array('q')`` of block numbers indexed ``set * assoc + way``
 (``-1`` = empty way), kept in lockstep with the per-line objects, and
 the bound replacement policy keeps a parallel flat stamp array. The
-bulk hierarchy walk and the optional numpy kernels read these arrays
-directly (``numpy.frombuffer`` gives a zero-copy int64 view); the
-``_index`` dict stays as the O(1) scalar probe path.
+``_index`` dict stays as the O(1) probe path of both the scalar and
+the bulk hierarchy walks.
 """
 
 from __future__ import annotations

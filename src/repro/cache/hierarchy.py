@@ -40,10 +40,12 @@ Two datapaths serve loads and stores:
   epoch's aligned-address run with the per-level probes inlined against
   the flat array-backed set state (``way_tags`` + policy stamp arrays),
   consecutive identical accesses collapsed into guaranteed L1 hits, and
-  LLC misses routed through an optional duck-typed port so the engine
-  above can elide redundant zero-fill controller probes. Step-identical
-  to a loop of scalar ``access()`` calls by construction (every branch
-  is a transcription) and by test (hypothesis equivalence suite).
+  LLC misses routed through an optional duck-typed port so the batch
+  engine above can elide redundant counter probes of zero-fill reads
+  (the port serves them through the controller's own datapath).
+  Step-identical to a loop of scalar ``access()`` calls by
+  construction (every branch is a transcription) and by test
+  (hypothesis equivalence suite).
 """
 
 from __future__ import annotations
@@ -313,7 +315,7 @@ class CacheHierarchy:
                     is_writes: Sequence[Any], now_ns: float = 0.0, *,
                     payloads: Optional[Sequence[Optional[bytes]]] = None,
                     collect_data: bool = False, details: bool = False,
-                    kernel: Any = None, port: Any = None) -> BulkAccessResult:
+                    port: Any = None) -> BulkAccessResult:
         """Issue a whole access stream in one pass (bulk walk).
 
         Equivalent — access by access, stat by stat — to::
@@ -330,9 +332,6 @@ class CacheHierarchy:
         ``_index``/``way_tags``/stamp arrays — verify-at-use against
         live cache state, never a stale prediction.
 
-        ``kernel`` (duck-typed, see :mod:`repro.sim.kernels`) may
-        pre-compute block alignment and run boundaries — the numpy
-        backend does this vectorised; ``None`` uses an inline loop.
         ``port`` (duck-typed) intercepts the memory boundary: it must
         provide ``fetch(address, now_ns) -> (latency_ns, zero_filled,
         data)``, ``writeback(address, payload, now_ns)`` and
@@ -359,21 +358,17 @@ class CacheHierarchy:
             return result
 
         block_size = self.block_size
-        if kernel is not None:
-            aligned = kernel.align_blocks(addresses, block_size)
-            bounds = kernel.run_bounds(cores, aligned, is_writes)
-        else:
-            aligned = [a - a % block_size for a in addresses]
-            bounds = [0]
-            prev_core, prev_addr = cores[0], aligned[0]
-            prev_w = bool(is_writes[0])
-            for i in range(1, n):
-                w = bool(is_writes[i])
-                if (aligned[i] != prev_addr or cores[i] != prev_core
-                        or w != prev_w):
-                    bounds.append(i)
-                    prev_core, prev_addr, prev_w = cores[i], aligned[i], w
-            bounds.append(n)
+        aligned = [a - a % block_size for a in addresses]
+        bounds = [0]
+        prev_core, prev_addr = cores[0], aligned[0]
+        prev_w = bool(is_writes[0])
+        for i in range(1, n):
+            w = bool(is_writes[i])
+            if (aligned[i] != prev_addr or cores[i] != prev_core
+                    or w != prev_w):
+                bounds.append(i)
+                prev_core, prev_addr, prev_w = cores[i], aligned[i], w
+        bounds.append(n)
 
         # Pre-bound hot state: one attribute walk for the whole stream.
         num_cores = self.num_cores

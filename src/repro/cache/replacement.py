@@ -9,9 +9,8 @@ directly, never attached to a cache) keeps a ``(set, way) -> stamp``
 dict. A policy bound to a cache via :meth:`ReplacementPolicy.bind`
 switches to a flat ``array('q')`` of stamps indexed ``set * assoc +
 way`` — the array-backed set state the bulk hierarchy walk
-(:meth:`~repro.cache.hierarchy.CacheHierarchy.access_many`) iterates
-over in one pass, and a zero-copy view target for the optional numpy
-kernels. Both representations produce identical victims: a stamp of
+(:meth:`~repro.cache.hierarchy.CacheHierarchy.access_many`) updates in
+one pass. Both representations produce identical victims: a stamp of
 ``0`` means "never touched", and ties break on the lowest way index
 (matching ``min`` over ways in ascending order).
 """

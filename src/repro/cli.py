@@ -153,12 +153,6 @@ def _runner_context(args: argparse.Namespace):
             worker.terminate()
 
 
-def _make_runner(args: argparse.Namespace) -> Runner:
-    """Deprecated shim kept for scripts importing the old helper."""
-    with contextlib.ExitStack() as stack:
-        return stack.enter_context(_runner_context(args))
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     name = args.benchmark.upper()
     if name in SPEC_BENCHMARKS:
@@ -646,12 +640,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         summary = " ".join(
             f"{engine}={entry['best_s']:.4f}s"
             for engine, entry in timing.items() if isinstance(entry, dict))
-        extra = ""
-        for label, key in (("batch", "speedup_batch_over_scalar"),
-                           ("vector", "speedup_vector_over_scalar")):
-            speedup = timing.get(key)
-            if speedup is not None:
-                extra += f" {label}-speedup={speedup:.2f}x"
+        speedup = timing.get("speedup_batch_over_scalar")
+        extra = (f" batch-speedup={speedup:.2f}x"
+                 if speedup is not None else "")
         ok = result["deterministic"]["reports_identical"]
         print(f"{name}: {summary}{extra} "
               f"reports_identical={ok} -> {path}")
@@ -976,8 +967,8 @@ def build_parser() -> argparse.ArgumentParser:
     events.add_argument("--nodes", type=int, default=1500,
                         help="graph size for PowerGraph workloads")
     events.add_argument("--engine", default="scalar",
-                        help="access-stream engine: scalar | batch | "
-                             "vector (the log is identical across them)")
+                        help="access-stream engine: scalar | batch "
+                             "(the log is identical across them)")
     events.add_argument("--baseline", action="store_true",
                         help="run the baseline (non-shredder) system "
                              "instead of Silent Shredder")

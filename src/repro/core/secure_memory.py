@@ -274,13 +274,33 @@ class SecureMemoryController:
                     now_ns: Optional[float] = None) -> AccessResult:
         """Serve an LLC miss: decrypt (or zero-fill) one data block."""
         now = resolve_time(self.clock, at, now_ns)
-        self._check_data_address(address)
-        page_id = self.page_of(address)
-        offset = self.offset_of(address)
-        fetch = self.get_counters(page_id, now)
-        counters, counter_latency, hit = \
-            fetch.counters, fetch.latency_ns, fetch.hit
+        fetch = self.get_counters(address // self.page_size, now)
+        return self._fetch_resident(address, fetch.counters,
+                                    fetch.latency_ns, fetch.hit, now)
 
+    def store_block(self, address: int, data: Optional[bytes] = None,
+                    at: Optional[float] = None, *,
+                    now_ns: Optional[float] = None) -> AccessResult:
+        """Write back one data block: bump minor, encrypt, write NVM."""
+        now = resolve_time(self.clock, at, now_ns)
+        fetch = self.get_counters(address // self.page_size, now)
+        return self._store_resident(address, data, fetch.counters,
+                                    fetch.latency_ns, fetch.hit, now)
+
+    # The two datapath tails below take the page's counter block already
+    # resident (from :meth:`get_counters`, or from an earlier probe the
+    # caller knows still holds) with the probe's latency and hit flag,
+    # and do every per-access effect. ``fetch_block``/``store_block``
+    # are probe + tail; the batch engine calls the tails directly for
+    # the guaranteed-hit accesses whose probes it elides.
+
+    def _fetch_resident(self, address: int, counters: CounterBlock,
+                        counter_latency: float, hit: bool,
+                        now: float) -> AccessResult:
+        """The read tail: zero-fill or NVM read + decrypt, and stats."""
+        self._check_data_address(address)
+        page_id = address // self.page_size
+        offset = (address % self.page_size) // self.block_size
         if self.zero_semantics and counters.is_shredded(offset):
             # Figure 7, step 3b: the minor counter is zero, so no NVM
             # access happens; a zero-filled block goes straight up.
@@ -316,21 +336,16 @@ class SecureMemoryController:
             self._read_latency_hist.observe(latency)
         return AccessResult(data=plaintext, latency_ns=latency, counter_hit=hit)
 
-    def store_block(self, address: int, data: Optional[bytes] = None,
-                    at: Optional[float] = None, *,
-                    now_ns: Optional[float] = None) -> AccessResult:
-        """Write back one data block: bump minor, encrypt, write NVM."""
-        now = resolve_time(self.clock, at, now_ns)
+    def _store_resident(self, address: int, data: Optional[bytes],
+                        counters: CounterBlock, counter_latency: float,
+                        hit: bool, now: float) -> AccessResult:
+        """The write tail: bump the minor (re-encrypting the page on
+        overflow), encrypt, write NVM, record the counter update."""
         self._check_data_address(address)
         if self.functional and (data is None or len(data) != self.block_size):
             raise AddressError("functional store requires a full data block")
-        page_id = self.page_of(address)
-        offset = self.offset_of(address)
-        fetch = self.get_counters(page_id, now)
-        counters, counter_latency, hit = \
-            fetch.counters, fetch.latency_ns, fetch.hit
-
-        reencrypted = False
+        page_id = address // self.page_size
+        offset = (address % self.page_size) // self.block_size
         if self.events is not None and self.zero_semantics \
                 and counters.is_shredded(offset):
             # First write into a shredded block: it stops reading as
@@ -361,8 +376,7 @@ class SecureMemoryController:
         self.stats.data_writes += 1
         counter_update_ns = self._counters_updated(page_id, counters, now)
         latency = counter_latency + pad_ns + access.latency_ns + counter_update_ns
-        return AccessResult(data=None, latency_ns=latency, counter_hit=hit,
-                            reencrypted=reencrypted)
+        return AccessResult(data=None, latency_ns=latency, counter_hit=hit)
 
     def _reencrypt_page(self, page_id: int, counters: CounterBlock,
                         replacements: Dict[int, Optional[bytes]],

@@ -1,21 +1,19 @@
 """``repro bench``: the toolchain's performance trajectory harness.
 
 Runs named scenarios — deterministic access streams driven through the
-scalar, batch and vector engines over fresh systems — and records two
-strictly separated kinds of output per scenario:
+scalar and batch engines over fresh systems — and records two strictly
+separated kinds of output per scenario:
 
 * **deterministic** facts: a canonical SHA-256 digest of the final
   :class:`~repro.sim.system.SystemReport` per engine (they must agree —
   the engine equivalence contract, re-checked on every bench run), plus
   each engine's :class:`~repro.sim.batch.EngineResult` totals.
-  Identical on every host and every run — including hosts without
-  numpy, where the ``vector`` engine resolves to its pure-Python
-  kernel: the kernel backend never enters the deterministic section.
+  Identical on every host and every run.
 * **wall-clock** measurements: per-repeat run times, best/mean, and the
-  batch/vector-over-scalar speedups, under ``timing``; per-phase
-  :mod:`repro.obs` span records under ``spans``; host facts (including
-  which vector kernel actually ran) under ``meta``. These vary run to
-  run and are excluded from determinism comparisons.
+  batch-over-scalar speedup, under ``timing``; per-phase
+  :mod:`repro.obs` span records under ``spans``; host facts under
+  ``meta``. These vary run to run and are excluded from determinism
+  comparisons.
 
 Results land in ``BENCH_<scenario>.json`` at the repo root.
 ``compare_results`` gates a fresh run against a committed baseline:
@@ -47,7 +45,6 @@ from ..errors import ExperimentError
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import SpanTracer
 from ..sim import AccessBatch, OP_READ, OP_SHRED, OP_WRITE, System
-from ..sim.kernels import resolve_kernel
 from ..workloads import SPEC_BENCHMARKS, spec_access_batch
 
 #: Bump when the BENCH_*.json layout changes incompatibly.
@@ -88,7 +85,7 @@ class BenchScenario:
     num_cores: Optional[int] = None    # hierarchy datapath when set
     burst: int = 1                     # back-to-back reuse per block
     sweeps: int = 2                    # passes for the structured sources
-    engines: Tuple[str, ...] = ("scalar", "batch", "vector")
+    engines: Tuple[str, ...] = ("scalar", "batch")
 
     def make_config(self) -> SystemConfig:
         if self.config == "bench":
@@ -241,10 +238,8 @@ def run_scenario(name: str, *, warmup: int = 1, repeat: int = 3,
     ``profile_dir`` dumps one extra cProfile'd run per engine to
     ``<profile_dir>/<scenario>.<engine>.pstats`` (measured timings are
     never taken under the profiler). ``metrics`` receives the
-    ``cache.bulk.*`` counters of the bulk hierarchy walk, published
-    once per scenario — batch and vector produce identical counters
-    under the equivalence contract, so the registry stays
-    engine-agnostic.
+    ``cache.bulk.*`` counters of the batch engine's bulk hierarchy
+    walk, published once per scenario.
     """
     scenario = SCENARIOS.get(name)
     if scenario is None:
@@ -283,8 +278,7 @@ def run_scenario(name: str, *, warmup: int = 1, repeat: int = 3,
             if profile_dir is not None:
                 directory = Path(profile_dir)
                 directory.mkdir(parents=True, exist_ok=True)
-                stem = engine.replace(":", "-")
-                path = directory / f"{scenario.name}.{stem}.pstats"
+                path = directory / f"{scenario.name}.{engine}.pstats"
                 profiler = cProfile.Profile()
                 with tracer.span(f"profile.{engine}"):
                     profiler.enable()
@@ -297,9 +291,6 @@ def run_scenario(name: str, *, warmup: int = 1, repeat: int = 3,
     if "scalar" in timing and "batch" in timing:
         timing["speedup_batch_over_scalar"] = (
             timing["scalar"]["best_s"] / timing["batch"]["best_s"])
-    if "scalar" in timing and "vector" in timing:
-        timing["speedup_vector_over_scalar"] = (
-            timing["scalar"]["best_s"] / timing["vector"]["best_s"])
 
     if metrics is not None:
         bulk = next((entry.get("bulk") for entry in
@@ -318,11 +309,6 @@ def run_scenario(name: str, *, warmup: int = 1, repeat: int = 3,
         "repeat": repeat,
         "generated_by": "repro bench",
     }
-    if any(engine.startswith("vector") for engine in scenario.engines):
-        # Which backend "vector" resolved to on THIS host — wall-clock
-        # metadata only; the deterministic section must stay identical
-        # with and without numpy.
-        meta["vector_kernel"] = resolve_kernel("auto").name
     if profiles:
         meta["profiles"] = profiles
 

@@ -63,10 +63,8 @@ class Experiment:
     policy: Optional[str] = None
     seed: int = 0
     #: Access-stream engine driving the run: ``"scalar"`` (default, the
-    #: per-access API), ``"batch"`` (the epoch-batched engine) or
-    #: ``"vector"`` / ``"vector:numpy"`` / ``"vector:py"`` (the batch
-    #: engine with a flat-array kernel backend). Only engine-aware
-    #: workloads accept non-scalar engines.
+    #: per-access API) or ``"batch"`` (the epoch-batched engine). Only
+    #: engine-aware workloads accept the batch engine.
     engine: str = "scalar"
     name: str = field(default="", compare=False)
 

@@ -15,15 +15,15 @@ byte-identical reports whatever backend runs it.
 Progress is reported through :class:`ProgressEvent` values carrying
 ``completed``, ``total``, ``label`` and a ``source`` telling where the
 event came from (``"cache"`` hit, ``"worker"`` completion, or a
-distributed ``"retry"``). Legacy three-argument ``(completed, total,
-label)`` callbacks are still accepted through a deprecation shim.
+distributed ``"retry"``). The removed three-argument ``(completed,
+total, label)`` callback form is rejected with an
+:class:`~repro.errors.ExperimentError`.
 """
 
 from __future__ import annotations
 
 import inspect
 import time
-import warnings
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Union)
@@ -35,9 +35,6 @@ from .backends import (ExecutionBackend, _execute_to_dict, _fork_context,
                        resolve_backend)
 from .cache import ResultCache, default_cache
 from .experiment import Experiment
-
-#: legacy progress callback: (completed, total, experiment label)
-ProgressFn = Callable[[int, int, str], None]
 
 #: where a progress event originated
 PROGRESS_SOURCES = ("cache", "worker", "retry")
@@ -71,15 +68,13 @@ class ProgressEvent:
 ProgressEventFn = Callable[[ProgressEvent], None]
 
 
-def _coerce_progress(progress: Optional[Union[ProgressEventFn, ProgressFn]],
-                     ) -> Optional[ProgressEventFn]:
-    """Accept both callback generations, shimming the legacy one.
+def _check_progress(progress: Optional[ProgressEventFn],
+                    ) -> Optional[ProgressEventFn]:
+    """Accept a one-argument :class:`ProgressEvent` consumer.
 
-    A callable taking one positional argument is treated as the
-    new-style :class:`ProgressEvent` consumer; one taking three is the
-    deprecated ``(completed, total, label)`` form and gets adapted
-    (with a ``DeprecationWarning``). Anything else is rejected
-    eagerly, before a batch burns simulation time.
+    Anything else — including the removed three-argument ``(completed,
+    total, label)`` form — is rejected eagerly, before a batch burns
+    simulation time.
     """
     if progress is None:
         return None
@@ -100,18 +95,13 @@ def _coerce_progress(progress: Optional[Union[ProgressEventFn, ProgressFn]],
     if arity == 1 or (arity < 1 and has_var_positional):
         return progress
     if arity == 3:
-        warnings.warn(
+        raise ExperimentError(
             "three-argument progress callbacks (completed, total, label) "
-            "are deprecated; take a single repro.exec.ProgressEvent "
-            "instead (it adds .source)", DeprecationWarning, stacklevel=3)
-
-        def shim(event: ProgressEvent, _legacy: ProgressFn = progress) -> None:
-            _legacy(event.completed, event.total, event.label)
-
-        return shim
+            "were removed; take a single repro.exec.ProgressEvent instead "
+            "(it adds .source)")
     raise ExperimentError(
-        f"progress callback must take 1 argument (ProgressEvent) or the "
-        f"legacy 3 (completed, total, label); {progress!r} takes {arity}")
+        f"progress callback must take 1 argument (ProgressEvent); "
+        f"{progress!r} takes {arity}")
 
 
 class Runner:
@@ -139,8 +129,8 @@ class Runner:
         Optional callback receiving :class:`ProgressEvent` values.
         Completion events (``"cache"``/``"worker"``) fire once per
         unique experiment; ``"retry"`` events may fire any number of
-        times. Legacy ``(completed, total, label)`` callables are
-        adapted with a ``DeprecationWarning``.
+        times. The removed ``(completed, total, label)`` form raises
+        :class:`~repro.errors.ExperimentError`.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` accumulating batch
         telemetry: process-local ``exec.batch.*`` / ``exec.cache.*`` /
@@ -153,15 +143,14 @@ class Runner:
                  backend: Optional[Union[ExecutionBackend, str]] = None,
                  cache: Optional[ResultCache] = None,
                  use_cache: bool = True,
-                 progress: Optional[Union[ProgressEventFn,
-                                          ProgressFn]] = None,
+                 progress: Optional[ProgressEventFn] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.backend = resolve_backend(jobs, backend)
         self.jobs = int(jobs)
         self.cache: Optional[ResultCache] = None
         if use_cache:
             self.cache = cache if cache is not None else default_cache()
-        self.progress = _coerce_progress(progress)
+        self.progress = _check_progress(progress)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if self.cache is not None:
             self.cache.bind_metrics(self.metrics, prefix="exec.cache")
@@ -274,8 +263,7 @@ def run_experiments(experiments: Iterable[Experiment], *, jobs: int = 1,
                     backend: Optional[Union[ExecutionBackend, str]] = None,
                     use_cache: bool = True,
                     cache: Optional[ResultCache] = None,
-                    progress: Optional[Union[ProgressEventFn,
-                                             ProgressFn]] = None,
+                    progress: Optional[ProgressEventFn] = None,
                     ) -> List[SystemReport]:
     """One-shot form of :meth:`Runner.run`."""
     runner = Runner(jobs=jobs, backend=backend, cache=cache,

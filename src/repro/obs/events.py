@@ -31,9 +31,9 @@ Two mechanisms keep the log bounded without breaking that identity:
 
 * **Coalescing** — an emission that matches the tail record's
   ``(kind, page, block)`` folds into it (``count`` accumulates, the
-  first ``time_ns`` wins). This is also what makes the scalar engine's
-  per-access emission and the batch/vector engines' bulk run-flush
-  emission converge on the same records.
+  first ``time_ns`` wins), so a run of zero-fill reads of one page
+  is one record. Every engine emits through the controller's own
+  datapath, one emission per access, so their logs are identical.
 * **Sampling and capacity** — after coalescing, every
   ``sample_every``-th distinct record is kept, up to ``capacity``
   records; the rest only bump ``dropped``. Both are pure functions of

@@ -1,55 +1,42 @@
-"""Epoch-batched access-stream engine: the vectorised sim hot path.
+"""Epoch-batched access-stream engine: the probe-eliding sim hot path.
 
 The scalar API drives the controller one access at a time —
 ``fetch_block``/``store_block`` per LLC miss or write-back — each call
-paying a counter-cache probe, per-access stats bookkeeping and Python
-call overhead. Real miss streams are bursty and page-local, so the
-batch engine re-expresses the hot path over an :class:`AccessBatch`
-(structured parallel arrays of address / op / epoch), processed one
-epoch at a time in passes:
-
-1. **page-id derivation** for the whole epoch in one sweep,
-2. **run segmentation**: consecutive accesses to the same page form a
-   segment; only the segment's first access pays a real counter-cache
-   probe — the rest are guaranteed hits (the line cannot be evicted
-   between same-page probes) and are accounted in bulk through
-   :meth:`~repro.cache.counter_cache.CounterCache.record_hits`,
-3. **grouped pad generation** for the segment's reads through the
-   pluggable cipher seam
-   (:meth:`~repro.crypto.CounterModeEngine.decrypt_many`),
-4. **bulk stat publication**: uniform zero-fill runs land in the
-   ``mem.ctrl.read_latency_ns`` histogram via one ``observe_many``
-   instead of per-access updates.
+paying a counter-cache probe. Real miss streams are bursty and
+page-local, so the batch engine processes an :class:`AccessBatch`
+(structured parallel arrays of address / op / epoch) one epoch at a
+time and splits each epoch into **same-page runs** (segments; shreds
+stand alone). Only a segment's first access pays a real counter-cache
+probe through ``fetch_block``/``store_block``; the rest are guaranteed
+hits (the line cannot be evicted between same-page probes), so the
+engine hands the resident counter block straight to the controller's
+datapath tails (``_fetch_resident``/``_store_resident``) and accounts
+the elided probes in bulk through
+:meth:`~repro.cache.counter_cache.CounterCache.record_hits`. Every
+per-access effect — zero-fill, NVM traffic, crypto, shred events,
+re-encryption, counter persistence, stats — happens in the
+controller's own datapath, never in a copy here.
 
 Equivalence is the contract: for any batch, :class:`BatchEngine`
 produces identical controller / device / channel statistics (and,
 functionally, identical data) to :class:`ScalarEngine` replaying the
-same accesses. NVM commands are still issued per access in original
-order because the channel model is order-dependent. All per-access
-model latencies are dyadic rationals (integer cycle counts times a
-dyadic ``cycle_ns``), so bulk accounting (``k * latency``) is float-
-exact against ``k`` scalar additions. Controllers that override the
-datapath (DEUCE, direct encryption, i-NVMM) fall back to the scalar
-loop transparently.
+same accesses. NVM commands are issued per access in original order
+because the channel model is order-dependent. Controllers that
+override the datapath (DEUCE, direct encryption, i-NVMM) fall back to
+the scalar loop transparently.
 
 A batch with a ``cores`` array selects the **hierarchy datapath**: the
 stream is issued from the given cores through the full L1-L4 cache
 hierarchy (coherence, inclusion, writebacks) instead of straight at
 the controller. The scalar engine replays it through
-:meth:`~repro.cache.hierarchy.CacheHierarchy.access`; the batch and
-vector engines drive the bulk walk
+:meth:`~repro.cache.hierarchy.CacheHierarchy.access`; the batch engine
+drives the bulk walk
 (:meth:`~repro.cache.hierarchy.CacheHierarchy.access_many`) one
 epoch-segment at a time, with :class:`HierarchyMissPort` sitting on
-the memory boundary to defer and coalesce the accounting of zero-fill
+the memory boundary to elide the counter probes of zero-fill
 (shredded) read runs exactly as the controller-mode engine does.
 Latency is accumulated in integer cycles and converted once, so the
 per-engine totals are float-identical by construction.
-
-:class:`VectorEngine` (``engine="vector"``, grammar
-``vector[:numpy|:py]``) layers :mod:`repro.sim.kernels` over the batch
-engine: the data-parallel sweeps (page ids, block alignment, run
-boundaries) run through a pluggable flat-array kernel — numpy when
-importable, a report-identical pure-Python fallback otherwise.
 """
 
 from __future__ import annotations
@@ -59,9 +46,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.secure_memory import SecureMemoryController
-from ..errors import AddressError, ExperimentError, SimulationError
-from .kernels import KERNEL_SPECS, resolve_kernel
+from ..core.secure_memory import AccessResult, SecureMemoryController
+from ..errors import ExperimentError, SimulationError
 
 #: Access opcodes carried in :attr:`AccessBatch.ops`.
 OP_READ = 0
@@ -75,37 +61,21 @@ OP_NAMES = {OP_READ: "read", OP_WRITE: "write", OP_SHRED: "shred"}
 DEFAULT_EPOCH_NS = 1024.0
 
 #: Engine kinds accepted by :func:`make_engine` and ``System(engine=...)``.
-ENGINE_KINDS = ("scalar", "batch", "vector")
+ENGINE_KINDS = ("scalar", "batch")
 
 
-def parse_engine_spec(spec: str) -> Tuple[str, str]:
-    """Split an engine spec into ``(kind, kernel)``.
-
-    Accepted grammar: ``"scalar"``, ``"batch"``, ``"vector"``,
-    ``"vector:numpy"``, ``"vector:py"`` (bare ``vector`` means
-    ``vector:auto``). Raises :class:`~repro.errors.ExperimentError`
-    naming the valid kinds for anything else.
-    """
+def parse_engine_spec(spec: str) -> str:
+    """Validate an engine spec and return it: ``"scalar"`` or
+    ``"batch"``. Raises :class:`~repro.errors.ExperimentError` naming
+    the valid kinds for anything else."""
     if not isinstance(spec, str):
         raise ExperimentError(f"engine spec must be a string, got "
                               f"{type(spec).__name__}")
-    kind, sep, kernel = spec.partition(":")
-    if kind not in ENGINE_KINDS:
+    if spec not in ENGINE_KINDS:
         raise ExperimentError(
             f"unknown access engine {spec!r} (expected one of "
-            f"{', '.join(ENGINE_KINDS)}; 'vector' also accepts a kernel "
-            "suffix: 'vector:numpy' or 'vector:py')")
-    if not sep:
-        return kind, "auto"
-    if kind != "vector":
-        raise ExperimentError(
-            f"engine {kind!r} does not take a kernel suffix (only "
-            "'vector:numpy' / 'vector:py')")
-    if kernel not in KERNEL_SPECS:
-        raise ExperimentError(
-            f"unknown vector kernel {kernel!r} in engine spec {spec!r} "
-            f"(expected one of {', '.join(KERNEL_SPECS)})")
-    return kind, kernel
+            f"{', '.join(ENGINE_KINDS)})")
+    return spec
 
 
 def pattern_block(address: int, block_size: int) -> bytes:
@@ -310,7 +280,7 @@ class EngineResult:
     #: True when the batch engine fell back to the scalar loop because
     #: the controller overrides the baseline datapath.
     fallback: bool = False
-    #: Bulk-walk counters for hierarchy-mode batch/vector runs
+    #: Bulk-walk counters for hierarchy-mode batch runs
     #: (``runs``/``collapsed``/``fast_hits``/``slow_path``/
     #: ``zero_elided``); ``None`` otherwise. These feed the
     #: ``cache.bulk.*`` bench metrics.
@@ -331,16 +301,15 @@ class HierarchyMissPort:
     to ``fetch_block``/``store_block``; what the port adds is the same
     probe elision the controller-mode batch engine performs: once a
     real fetch has made a page's counter line resident, subsequent
-    zero-fill (shredded) fetches of *that page* are served inline —
-    counter-hit latency, zero block — and their accounting is deferred
-    and coalesced into one bulk update.
+    zero-fill (shredded) fetches of *that page* go through the
+    controller's read tail with the resident counters and the
+    counter-hit latency, and only their counter-hit accounting is
+    deferred and coalesced into one bulk update.
 
     The deferral window closes (``flush``) before **any** real
     controller entry — a fetch of another page, a non-zero fetch, a
     writeback, a shred — because any of those may evict the counter
-    line whose residence the deferred ``record_hits`` requires. Within
-    a window no controller state is read or written, so the flushed
-    totals land exactly where the scalar walk would have put them.
+    line whose residence the deferred ``record_hits`` requires.
     """
 
     def __init__(self, controller: SecureMemoryController) -> None:
@@ -350,11 +319,8 @@ class HierarchyMissPort:
         self._offset_of = controller.offset_of
         self._zero = controller.zero_semantics
         self._hit_latency = controller._counter_latency_ns
-        self._zero_data = (controller._zero_block if controller.functional
-                           else None)
         self._page = -1        # page whose counter line is known resident
-        self._pending = 0      # deferred zero-fill fetches on that page
-        self._pending_start = 0.0   # sim time the deferral window opened
+        self._pending = 0      # deferred counter hits on that page
         self.zero_elided = 0   # total controller probes elided (metric)
 
     def fetch(self, address: int, now_ns: float) -> Tuple[float, bool,
@@ -364,15 +330,14 @@ class HierarchyMissPort:
         ctl = self.ctl
         page = address // self._page_size
         if page == self._page and self._zero:
-            ctl._check_data_address(address)
             counters = self._cc.peek(page)
             if counters is not None and counters.is_shredded(
                     self._offset_of(address)):
-                if not self._pending:
-                    self._pending_start = now_ns
+                access = ctl._fetch_resident(address, counters,
+                                             self._hit_latency, True, now_ns)
                 self._pending += 1
                 self.zero_elided += 1
-                return self._hit_latency, True, self._zero_data
+                return access.latency_ns, access.zero_filled, access.data
         self.flush()
         access = ctl.fetch_block(address, now_ns)
         self._page = page
@@ -387,28 +352,13 @@ class HierarchyMissPort:
         self.ctl.store_block(address, payload, now_ns)
 
     def flush(self) -> None:
-        """Publish the deferred zero-fill run's accounting in bulk."""
+        """Publish the deferred counter hits in bulk."""
         count = self._pending
         if not count:
             return
         self._pending = 0
-        ctl = self.ctl
-        if ctl.events is not None:
-            # One bulk emission for the run; the recorder coalesces it
-            # with the window-opening fetch's event (same kind/page), so
-            # the log matches the scalar walk's per-access emissions.
-            ctl.events.emit("zero_fill", self._page, self._pending_start,
-                            count=count)
-        stats = ctl.stats
-        latency = self._hit_latency
-        stats.counter_hits += count
+        self.ctl.stats.counter_hits += count
         self._cc.record_hits(self._page, count)
-        stats.zero_fill_reads += count
-        stats.read_requests += count
-        stats.total_read_latency_ns += count * latency
-        hist = ctl._read_latency_hist
-        if hist is not None:
-            hist.observe_many(latency, count)
 
     def close(self) -> None:
         """Flush and invalidate the window (before shreds / at end)."""
@@ -416,8 +366,24 @@ class HierarchyMissPort:
         self._page = -1
 
 
+def _tally(result: EngineResult, op: int, access: AccessResult,
+           outputs: Optional[List[Optional[bytes]]]) -> None:
+    """Fold one controller access into the engine's totals."""
+    if op == OP_READ:
+        result.reads += 1
+        if access.zero_filled:
+            result.zero_fill_reads += 1
+        if outputs is not None:
+            outputs.append(access.data)
+    else:
+        result.writes += 1
+        if access.reencrypted:
+            result.reencryptions += 1
+    result.total_latency_ns += access.latency_ns
+
+
 class AccessEngine:
-    """Common machinery for the scalar, batch and vector engines."""
+    """Common machinery for the scalar and batch engines."""
 
     kind = "scalar"
 
@@ -508,20 +474,12 @@ class ScalarEngine(AccessEngine):
             now = base + epochs[i] * epoch_ns
             op = ops[i]
             if op == OP_READ:
-                access = ctl.fetch_block(addresses[i], now)
-                result.reads += 1
-                if access.zero_filled:
-                    result.zero_fill_reads += 1
-                result.total_latency_ns += access.latency_ns
-                if outputs is not None:
-                    outputs.append(access.data)
+                _tally(result, op, ctl.fetch_block(addresses[i], now),
+                       outputs)
             elif op == OP_WRITE:
                 data = batch.payload(i, block_size) if functional else None
-                access = ctl.store_block(addresses[i], data, now)
-                result.writes += 1
-                if access.reencrypted:
-                    result.reencryptions += 1
-                result.total_latency_ns += access.latency_ns
+                _tally(result, op, ctl.store_block(addresses[i], data, now),
+                       outputs)
             else:
                 outcome = self._shred(addresses[i], now)
                 result.shreds += 1
@@ -581,14 +539,9 @@ class ScalarEngine(AccessEngine):
 
 
 class BatchEngine(AccessEngine):
-    """Vectorised engine: probe-eliding, pad-grouping epoch processing."""
+    """Probe-eliding engine: one real counter probe per same-page run."""
 
     kind = "batch"
-
-    #: Kernel driving the data-parallel sweeps; ``None`` uses inline
-    #: loops (the vector engine plugs a :mod:`repro.sim.kernels` object
-    #: in here).
-    kernel = None
 
     def run(self, batch: AccessBatch, *, epoch_ns: float = DEFAULT_EPOCH_NS,
             collect_data: bool = False) -> EngineResult:
@@ -596,9 +549,9 @@ class BatchEngine(AccessEngine):
         if (type(ctl).fetch_block is not SecureMemoryController.fetch_block
                 or type(ctl).store_block
                 is not SecureMemoryController.store_block):
-            # Overridden datapath (DEUCE / direct / i-NVMM): the inline
-            # fast path below would bypass the subclass semantics, so
-            # replay access-equivalently through the scalar loop.
+            # Overridden datapath (DEUCE / direct / i-NVMM): the datapath
+            # tails below would bypass the subclass semantics, so replay
+            # access-equivalently through the scalar loop.
             result = ScalarEngine(ctl, hierarchy=self.hierarchy,
                                   shred_register=self.shred_register,
                                   metrics=self.metrics).run(
@@ -640,7 +593,6 @@ class BatchEngine(AccessEngine):
         shred_ns = 0.0
         cores, addresses, ops = batch.cores, batch.addresses, batch.ops
         payload = batch.payload
-        kernel = self.kernel
         for epoch, start, stop in batch.epoch_slices():
             now = base + epoch * epoch_ns
             i = start
@@ -665,7 +617,7 @@ class BatchEngine(AccessEngine):
                 bulk = hierarchy.access_many(
                     cores[i:j], addresses[i:j], ops[i:j], now,
                     payloads=payloads, collect_data=collect_data,
-                    kernel=kernel, port=port)
+                    port=port)
                 total_cycles += bulk.latency_cycles
                 result.reads += bulk.reads
                 result.writes += bulk.writes
@@ -687,23 +639,14 @@ class BatchEngine(AccessEngine):
         result.data = outputs
         return self._finish(batch, result, base, epoch_ns)
 
-    # -- epoch passes -----------------------------------------------------
-
-    def _page_ids(self, addresses: array, start: int, stop: int,
-                  page_size: int) -> List[int]:
-        """Page ids for one epoch slice (the vector engine overrides
-        this with a kernel sweep)."""
-        return [addresses[i] // page_size for i in range(start, stop)]
+    # -- the controller datapath ------------------------------------------
 
     def _run_epoch(self, batch: AccessBatch, start: int, stop: int,
                    now: float, result: EngineResult,
                    outputs: Optional[List[Optional[bytes]]]) -> None:
-        ctl = self.controller
+        """Split one epoch into same-page segments; shreds stand alone."""
         addresses, ops = batch.addresses, batch.ops
-        page_size = ctl.page_size
-        # Pass 1: page ids for the whole epoch.
-        pages = self._page_ids(addresses, start, stop, page_size)
-        # Pass 2: segment into same-page runs; shreds stand alone.
+        page_size = self.controller.page_size
         i = start
         while i < stop:
             if ops[i] == OP_SHRED:
@@ -712,10 +655,10 @@ class BatchEngine(AccessEngine):
                 result.total_latency_ns += outcome.latency_ns
                 i += 1
                 continue
-            page_id = pages[i - start]
+            page_id = addresses[i] // page_size
             j = i + 1
-            while (j < stop and pages[j - start] == page_id
-                   and ops[j] != OP_SHRED):
+            while (j < stop and ops[j] != OP_SHRED
+                   and addresses[j] // page_size == page_id):
                 j += 1
             self._run_segment(batch, i, j, page_id, now, result, outputs)
             result.segments += 1
@@ -724,208 +667,62 @@ class BatchEngine(AccessEngine):
     def _run_segment(self, batch: AccessBatch, start: int, stop: int,
                      page_id: int, now: float, result: EngineResult,
                      outputs: Optional[List[Optional[bytes]]]) -> None:
-        """One same-page run: real probe first, inline fast path after."""
+        """One same-page run: a real probe for the head, then the
+        controller's datapath tails with the resident counters."""
         ctl = self.controller
+        payload = batch.payload if ctl.functional else None
         block_size = ctl.block_size
-        functional = ctl.functional
+        addresses, ops = batch.addresses, batch.ops
 
-        # First access takes the full scalar path (real counter-cache
-        # probe, miss handling, dirty-eviction persistence, ...).
-        first_op = batch.ops[start]
-        address = batch.addresses[start]
-        if first_op == OP_READ:
-            access = ctl.fetch_block(address, now)
-            result.reads += 1
-            if access.zero_filled:
-                result.zero_fill_reads += 1
-            result.total_latency_ns += access.latency_ns
-            if outputs is not None:
-                outputs.append(access.data)
+        # The head takes the full datapath (real counter-cache probe,
+        # miss handling, dirty-eviction persistence, ...).
+        op = ops[start]
+        if op == OP_READ:
+            access = ctl.fetch_block(addresses[start], now)
         else:
-            data = batch.payload(start, block_size) if functional else None
-            access = ctl.store_block(address, data, now)
-            result.writes += 1
-            if access.reencrypted:
-                result.reencryptions += 1
-            result.total_latency_ns += access.latency_ns
+            data = payload(start, block_size) if payload else None
+            access = ctl.store_block(addresses[start], data, now)
+        _tally(result, op, access, outputs)
         if stop - start == 1:
             return
 
         # The page's counter line is now resident and cannot be evicted
-        # by anything this segment does (every probe targets the same
-        # line), so the remaining accesses are guaranteed hits: elide
-        # their probes and account them in bulk at the end.
+        # by anything this segment does (every access targets the same
+        # line), so the remaining probes are guaranteed hits: elide
+        # them and account them in bulk at the end.
         counters = ctl.counter_cache.peek(page_id)
         if counters is None:
             raise SimulationError(
                 f"page {page_id} counters not resident after segment head")
-        stats = ctl.stats
-        hist = ctl._read_latency_hist
         hit_latency = ctl._counter_latency_ns
-        pad_ns = ctl._pad_latency_ns
-        xor_ns = ctl._xor_latency_ns
-        encrypted = ctl.encrypted
-        zero_semantics = ctl.zero_semantics
-
-        zero_run = 0                 # consecutive zero-fill reads pending
-        pending_blocks: List[bytes] = []   # ciphertexts awaiting decrypt
-        pending_ivs: List[bytes] = []
-        pending_slots: List[Optional[int]] = []
-
-        def flush_zero_run() -> None:
-            nonlocal zero_run
-            if not zero_run:
-                return
-            if ctl.events is not None:
-                # Every access in the run shares this epoch's ``now``,
-                # so one bulk emission coalesces exactly like the
-                # scalar engine's per-access zero_fill events.
-                ctl.events.emit("zero_fill", page_id, now, count=zero_run)
-            stats.zero_fill_reads += zero_run
-            stats.read_requests += zero_run
-            stats.total_read_latency_ns += zero_run * hit_latency
-            if hist is not None:
-                hist.observe_many(hit_latency, zero_run)
-            result.reads += zero_run
-            result.zero_fill_reads += zero_run
-            result.total_latency_ns += zero_run * hit_latency
-            if outputs is not None:
-                fill = ctl._zero_block if functional else None
-                outputs.extend([fill] * zero_run)
-            zero_run = 0
-
+        fetch, store = ctl._fetch_resident, ctl._store_resident
         for index in range(start + 1, stop):
-            address = batch.addresses[index]
-            ctl._check_data_address(address)
-            offset = ctl.offset_of(address)
-            if batch.ops[index] == OP_READ:
-                if zero_semantics and counters.is_shredded(offset):
-                    zero_run += 1
-                    continue
-                flush_zero_run()
-                access = ctl.mem.read_block(address, now + hit_latency)
-                stats.data_reads += 1
-                latency = (hit_latency
-                           + max(access.latency_ns, pad_ns) + xor_ns)
-                stats.read_requests += 1
-                stats.total_read_latency_ns += latency
-                if hist is not None:
-                    hist.observe(latency)
-                result.reads += 1
-                result.total_latency_ns += latency
-                if functional:
-                    if encrypted:
-                        # IVs snapshot the counters *now*; pad generation
-                        # is deferred and grouped at segment end.
-                        pending_blocks.append(access.data)
-                        pending_ivs.append(ctl._iv(page_id, offset, counters))
-                        if outputs is not None:
-                            pending_slots.append(len(outputs))
-                            outputs.append(None)
-                        else:
-                            pending_slots.append(None)
-                    elif outputs is not None:
-                        outputs.append(access.data)
-                elif outputs is not None:
-                    outputs.append(None)
+            op = ops[index]
+            if op == OP_READ:
+                access = fetch(addresses[index], counters, hit_latency,
+                               True, now)
             else:
-                flush_zero_run()
-                data = batch.payload(index, block_size) if functional else None
-                if functional and (data is None or len(data) != block_size):
-                    raise AddressError(
-                        "functional store requires a full data block")
-                if ctl.events is not None and zero_semantics \
-                        and counters.is_shredded(offset):
-                    # Mirror of store_block's emission: the inline write
-                    # path bypasses the controller entry point.
-                    ctl.events.emit("shredded_writeback", page_id, now,
-                                    block=offset)
-                if counters.bump_minor(offset):
-                    if ctl.events is not None:
-                        ctl.events.emit("minor_overflow", page_id, now,
-                                        block=offset)
-                    latency = ctl._reencrypt_page(page_id, counters,
-                                                  {offset: data}, now)
-                    stats.reencryptions += 1
-                    result.reencryptions += 1
-                    result.writes += 1
-                    result.total_latency_ns += hit_latency + latency
-                    continue
-                ciphertext = None
-                if functional:
-                    if encrypted:
-                        iv = ctl._iv(page_id, offset, counters)
-                        ciphertext = ctl.engine.encrypt(data, iv)
-                    else:
-                        ciphertext = data
-                write_offset_ns = pad_ns + xor_ns
-                access = ctl.mem.write_block(address, ciphertext,
-                                             now + hit_latency
-                                             + write_offset_ns)
-                stats.data_writes += 1
-                update_ns = ctl._counters_updated(page_id, counters, now)
-                latency = (hit_latency + write_offset_ns
-                           + access.latency_ns + update_ns)
-                result.writes += 1
-                result.total_latency_ns += latency
-
-        flush_zero_run()
-        if pending_blocks:
-            plaintexts = ctl.engine.decrypt_many(pending_blocks, pending_ivs)
-            if outputs is not None:
-                for slot, plaintext in zip(pending_slots, plaintexts):
-                    if slot is not None:
-                        outputs[slot] = plaintext
+                data = payload(index, block_size) if payload else None
+                access = store(addresses[index], data, counters,
+                               hit_latency, True, now)
+            _tally(result, op, access, outputs)
         inline = stop - start - 1
-        stats.counter_hits += inline
+        ctl.stats.counter_hits += inline
         ctl.counter_cache.record_hits(page_id, inline)
         result.bulk_hits += inline
-
-
-class VectorEngine(BatchEngine):
-    """Batch engine with the data-parallel sweeps behind a kernel seam.
-
-    Identical control flow to :class:`BatchEngine`; the page-id pass
-    and the bulk walk's alignment/run-boundary sweeps run through a
-    :mod:`repro.sim.kernels` kernel — numpy when importable, the
-    pure-Python fallback otherwise. Kernel choice cannot leak into any
-    simulated result (both kernels return identical lists), so reports
-    stay byte-identical across backends.
-    """
-
-    kind = "vector"
-
-    def __init__(self, controller: SecureMemoryController, *,
-                 hierarchy=None, shred_register=None, metrics=None,
-                 kernel=None) -> None:
-        super().__init__(controller, hierarchy=hierarchy,
-                         shred_register=shred_register, metrics=metrics)
-        self.kernel = kernel if kernel is not None else resolve_kernel("auto")
-
-    def _page_ids(self, addresses: array, start: int, stop: int,
-                  page_size: int) -> List[int]:
-        return self.kernel.page_ids(addresses[start:stop], page_size)
 
 
 def make_engine(kind: str, controller: SecureMemoryController, *,
                 hierarchy=None, shred_register=None,
                 metrics=None) -> AccessEngine:
-    """Build an access-stream engine from an engine spec.
+    """Build an access-stream engine: ``"scalar"`` or ``"batch"``.
 
-    ``kind`` follows the :func:`parse_engine_spec` grammar:
-    ``"scalar"``, ``"batch"``, ``"vector"``, ``"vector:numpy"``,
-    ``"vector:py"``. ``hierarchy``/``shred_register`` attach the cache
-    datapath (required to run batches that carry a cores array).
-    Unknown specs raise :class:`~repro.errors.ExperimentError` naming
-    the valid kinds.
+    ``hierarchy``/``shred_register`` attach the cache datapath
+    (required to run batches that carry a cores array). Unknown specs
+    raise :class:`~repro.errors.ExperimentError` naming the valid
+    kinds.
     """
-    base_kind, kernel_spec = parse_engine_spec(kind)
-    if base_kind == "scalar":
-        return ScalarEngine(controller, hierarchy=hierarchy,
-                            shred_register=shred_register, metrics=metrics)
-    if base_kind == "batch":
-        return BatchEngine(controller, hierarchy=hierarchy,
-                           shred_register=shred_register, metrics=metrics)
-    return VectorEngine(controller, hierarchy=hierarchy,
-                        shred_register=shred_register, metrics=metrics,
-                        kernel=resolve_kernel(kernel_spec))
+    engine_class = (ScalarEngine if parse_engine_spec(kind) == "scalar"
+                    else BatchEngine)
+    return engine_class(controller, hierarchy=hierarchy,
+                        shred_register=shred_register, metrics=metrics)

@@ -27,9 +27,9 @@ class TestCatalog:
         assert {"smoke", "counter-hot", "counter-cold"} <= set(names)
         assert len(names) >= 3
 
-    def test_every_scenario_races_all_three_engines(self):
+    def test_every_scenario_races_both_engines(self):
         for scenario in SCENARIOS.values():
-            assert scenario.engines == ("scalar", "batch", "vector")
+            assert scenario.engines == ("scalar", "batch")
 
     def test_new_scenarios_present(self):
         assert {"llc-thrash", "coherence-pingpong"} <= set(scenario_names())
@@ -48,29 +48,20 @@ class TestResultDocument:
         doc = smoke_result
         assert doc["schema"] == 2
         assert doc["scenario"] == "smoke"
-        assert doc["engines"] == ["scalar", "batch", "vector"]
+        assert doc["engines"] == ["scalar", "batch"]
         det = doc["deterministic"]
         assert det["reports_identical"] is True
-        assert set(det["report_digests"]) == {"scalar", "batch", "vector"}
+        assert set(det["report_digests"]) == {"scalar", "batch"}
         assert det["engines"]["scalar"]["accesses"] == \
-            det["engines"]["batch"]["accesses"] == \
-            det["engines"]["vector"]["accesses"] > 0
+            det["engines"]["batch"]["accesses"] > 0
         assert doc["timing"]["speedup_batch_over_scalar"] > 0
-        assert doc["timing"]["speedup_vector_over_scalar"] > 0
         for key in WALL_CLOCK_KEYS:
             assert key in doc
-
-    def test_kernel_backend_stays_out_of_deterministic(self, smoke_result):
-        # CI runners without numpy must reproduce baselines generated
-        # with it: the chosen kernel is wall-clock metadata only.
-        assert "vector_kernel" in smoke_result["meta"]
-        view = deterministic_view(smoke_result)
-        assert "vector_kernel" not in json.dumps(view)
 
     def test_spans_cover_phases(self, smoke_result):
         names = {span["name"] for span in smoke_result["spans"]}
         assert {"bench.smoke", "build-batch", "measure.scalar",
-                "measure.batch", "measure.vector"} <= names
+                "measure.batch"} <= names
 
     def test_deterministic_view_drops_wall_clock(self, smoke_result):
         view = deterministic_view(smoke_result)
@@ -115,7 +106,7 @@ class TestCompare:
 
     def test_timing_regression_fails(self, smoke_result):
         baseline = copy.deepcopy(smoke_result)
-        for engine in ("scalar", "batch", "vector"):
+        for engine in ("scalar", "batch"):
             baseline["timing"][engine]["best_s"] /= 100.0
         failures = compare_results(smoke_result, baseline, threshold=0.5)
         assert any("regressed" in f for f in failures)
@@ -133,12 +124,10 @@ class TestProfileAndMetrics:
         doc = run_scenario("smoke", warmup=0, repeat=1,
                            profile_dir=profile_dir)
         names = sorted(p.name for p in profile_dir.glob("*.pstats"))
-        assert names == ["smoke.batch.pstats", "smoke.scalar.pstats",
-                         "smoke.vector.pstats"]
-        assert sorted(doc["meta"]["profiles"]) == \
-            ["batch", "scalar", "vector"]
+        assert names == ["smoke.batch.pstats", "smoke.scalar.pstats"]
+        assert sorted(doc["meta"]["profiles"]) == ["batch", "scalar"]
         # The dumps are loadable pstats databases.
-        stats = pstats.Stats(str(profile_dir / "smoke.vector.pstats"))
+        stats = pstats.Stats(str(profile_dir / "smoke.batch.pstats"))
         assert stats.total_calls > 0
 
     def test_bulk_metrics_published(self, monkeypatch):

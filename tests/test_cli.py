@@ -151,16 +151,16 @@ class TestWorkerCli:
         assert args.task_timeout == 7.0
 
     def test_make_runner_builds_distributed_backend(self):
-        from repro.cli import _make_runner
+        from repro.cli import _runner_context
         from repro.exec import DistributedBackend
         args = build_parser().parse_args(
             ["figure", "fig8", "--workers", "a:1, b:2", "--no-cache",
              "--task-timeout", "9"])
-        runner = _make_runner(args)
-        assert isinstance(runner.backend, DistributedBackend)
-        assert runner.backend.addresses == [("a", 1), ("b", 2)]
-        assert runner.backend.task_timeout == 9.0
-        assert runner.cache is None
+        with _runner_context(args) as runner:
+            assert isinstance(runner.backend, DistributedBackend)
+            assert runner.backend.addresses == [("a", 1), ("b", 2)]
+            assert runner.backend.task_timeout == 9.0
+            assert runner.cache is None
 
     def test_distributed_failure_is_a_clean_exit(self, tmp_path, capsys,
                                                  monkeypatch):

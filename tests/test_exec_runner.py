@@ -73,15 +73,16 @@ class TestRunnerBasics:
         assert {event.source for event in events} == {"cache"}
 
     def test_legacy_three_arg_progress_shim_warns(self, tmp_path):
+        # The deprecation cycle is over: the three-argument form is now
+        # rejected eagerly, before any experiment runs.
         events = []
 
         def progress(done, total, label):
             events.append((done, total, label))
 
-        with pytest.deprecated_call():
-            runner = Runner(cache=ResultCache(tmp_path), progress=progress)
-        runner.run(small_batch()[:2])
-        assert events == [(1, 2, "GCC-baseline"), (2, 2, "GCC-shredder")]
+        with pytest.raises(ExperimentError, match="were removed"):
+            Runner(cache=ResultCache(tmp_path), progress=progress)
+        assert events == []
 
     def test_bad_progress_arity_rejected_eagerly(self):
         with pytest.raises(ExperimentError):

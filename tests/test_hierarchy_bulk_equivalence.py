@@ -7,8 +7,7 @@ stats *and* set state (tags, recency stamps), the coherence directory,
 and the memory-side traffic. These tests drive random streams through
 two fresh hierarchies over recorded memories and compare everything,
 including runs interleaved with ``invalidate_page`` (the shred step-2
-datapath), and prove the pure-Python kernel is report-identical when
-numpy is taken away.
+datapath).
 """
 
 from typing import List, Optional
@@ -17,11 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.kernels as kernels
 from repro.cache import CacheHierarchy, MemoryFetch
-from repro.errors import ExperimentError
-from repro.sim import AccessBatch, System
-from repro.sim.kernels import PyKernel, resolve_kernel
+from repro.sim import System
 
 BLOCK = 64
 PAGE = 4096
@@ -96,7 +92,7 @@ def stream_from(raw, functional: bool):
 
 
 def assert_bulk_equivalent(pairs, cores, addresses, ops, payloads,
-                           functional, kernel):
+                           functional):
     (scalar_h, scalar_mem), (bulk_h, bulk_mem) = pairs
     scalar_details = []
     for i in range(len(addresses)):
@@ -106,7 +102,7 @@ def assert_bulk_equivalent(pairs, cores, addresses, ops, payloads,
                                access.data, access.writebacks))
     bulk = bulk_h.access_many(cores, addresses, ops, 1.0,
                               payloads=payloads, collect_data=functional,
-                              details=True, kernel=kernel)
+                              details=True)
     bulk_details = [(d.latency_cycles, d.hit_level, d.data, d.writebacks)
                     for d in bulk.details]
     assert bulk_details == scalar_details
@@ -127,23 +123,15 @@ ACCESS_TUPLES = st.lists(
     min_size=1, max_size=80)
 
 
-def available_kernels():
-    specs = ["py"]
-    if kernels.numpy_available():
-        specs.append("numpy")
-    return specs
-
-
-@pytest.mark.parametrize("kernel_spec", available_kernels())
 class TestAccessManyEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(raw=ACCESS_TUPLES, functional=st.booleans())
     def test_any_stream_matches_scalar_loop(self, tiny_config_factory,
-                                            kernel_spec, raw, functional):
+                                            raw, functional):
         pairs = build_pair(tiny_config_factory, functional)
         cores, addresses, ops, payloads = stream_from(raw, functional)
         assert_bulk_equivalent(pairs, cores, addresses, ops, payloads,
-                               functional, resolve_kernel(kernel_spec))
+                               functional)
 
     @settings(max_examples=20, deadline=None)
     @given(raw=ACCESS_TUPLES,
@@ -151,8 +139,7 @@ class TestAccessManyEquivalence:
                                 min_size=1, max_size=4),
            split=st.integers(min_value=0, max_value=79))
     def test_invalidate_page_interleavings(self, tiny_config_factory,
-                                           kernel_spec, raw, invalidated,
-                                           split):
+                                           raw, invalidated, split):
         """Bulk calls interleaved with page invalidations (shred step 2)
         must leave both machines in the same state as the scalar loop
         with the same invalidations at the same stream position."""
@@ -160,7 +147,6 @@ class TestAccessManyEquivalence:
         (scalar_h, scalar_mem), (bulk_h, bulk_mem) = pairs
         cores, addresses, ops, payloads = stream_from(raw, False)
         split = min(split, len(addresses))
-        kernel = resolve_kernel(kernel_spec)
 
         chunks = [(0, split), (split, len(addresses))]
         for start, stop in chunks:
@@ -168,7 +154,7 @@ class TestAccessManyEquivalence:
                 scalar_h.access(cores[i], addresses[i], ops[i], now_ns=1.0)
             if stop > start:
                 bulk_h.access_many(cores[start:stop], addresses[start:stop],
-                                   ops[start:stop], 1.0, kernel=kernel)
+                                   ops[start:stop], 1.0)
             for page in invalidated:
                 one = scalar_h.invalidate_page(page * PAGE, PAGE,
                                                writeback=False, now_ns=1.0)
@@ -182,7 +168,7 @@ class TestAccessManyEquivalence:
         assert bulk_mem.fetches == scalar_mem.fetches
         assert bulk_mem.writebacks == scalar_mem.writebacks
 
-    def test_zero_filled_pages_match(self, tiny_config_factory, kernel_spec):
+    def test_zero_filled_pages_match(self, tiny_config_factory):
         """Reads of shredded (zero) pages produce ZERO hits identically."""
         pairs = build_pair(tiny_config_factory, True)
         for _, memory in pairs:
@@ -191,19 +177,16 @@ class TestAccessManyEquivalence:
             [(0, page, block, False, 2)
              for page in range(4) for block in range(8)], True)
         bulk = assert_bulk_equivalent(pairs, cores, addresses, ops,
-                                      payloads, True,
-                                      resolve_kernel(kernel_spec))
+                                      payloads, True)
         levels = {d.hit_level for d in bulk.details}
         assert "ZERO" in levels and bulk.zero_fills > 0
 
-    def test_bulk_counters_cover_the_stream(self, tiny_config_factory,
-                                            kernel_spec):
+    def test_bulk_counters_cover_the_stream(self, tiny_config_factory):
         pairs = build_pair(tiny_config_factory, False)
         raw = [(0, 0, b % 8, False, 5) for b in range(16)]
         cores, addresses, ops, payloads = stream_from(raw, False)
         bulk = assert_bulk_equivalent(pairs, cores, addresses, ops,
-                                      payloads, False,
-                                      resolve_kernel(kernel_spec))
+                                      payloads, False)
         assert bulk.runs + bulk.collapsed <= bulk.accesses
         assert bulk.collapsed > 0           # rep-5 runs collapse
         assert bulk.fast_hits + bulk.slow_path == bulk.runs
@@ -245,7 +228,7 @@ class TestScalarFastPath:
         payloads = [bytes([i + 1]) * BLOCK if (w and functional) else None
                     for i, w in enumerate(ops)]
         assert_bulk_equivalent(pairs, cores, addresses, ops, payloads,
-                               functional, None)
+                               functional)
         return pairs[0][0], walks
 
     def test_l1_resident_timing_read(self, tiny_config_factory):
@@ -363,68 +346,3 @@ class TestTouchTwin:
         assert asdict(one.kernel.stats) == asdict(two.kernel.stats)
         assert one.kernel.stats.cow_faults > 0
         assert one.report().to_dict() == two.report().to_dict()
-
-
-class TestKernelSweeps:
-    """The two kernel backends are element-for-element interchangeable."""
-
-    addresses = st.lists(st.integers(min_value=0, max_value=2**40),
-                         min_size=0, max_size=200)
-
-    @settings(max_examples=50, deadline=None)
-    @given(addresses=addresses)
-    def test_align_and_page_ids_agree(self, addresses):
-        if not kernels.numpy_available():
-            pytest.skip("numpy not importable")
-        py, np_kernel = PyKernel(), kernels.NumpyKernel()
-        assert py.align_blocks(addresses, 64) == \
-            np_kernel.align_blocks(addresses, 64)
-        assert py.page_ids(addresses, 4096) == \
-            np_kernel.page_ids(addresses, 4096)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5),
-                              st.booleans()),
-                    min_size=0, max_size=120))
-    def test_run_bounds_agree(self, triples):
-        if not kernels.numpy_available():
-            pytest.skip("numpy not importable")
-        cores = [t[0] for t in triples]
-        addresses = [t[1] * 64 for t in triples]
-        ws = [t[2] for t in triples]
-        py = PyKernel().run_bounds(cores, addresses, ws)
-        np_bounds = kernels.NumpyKernel().run_bounds(cores, addresses, ws)
-        assert py == np_bounds
-        assert py[0] == 0 and py[-1] == len(triples)
-
-
-class TestNumpyAbsent:
-    """The stdlib fallback: same reports, clean failure modes."""
-
-    def test_auto_resolves_to_py_kernel(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_np", None)
-        assert not kernels.numpy_available()
-        assert isinstance(kernels.resolve_kernel("auto"), PyKernel)
-
-    def test_numpy_spec_fails_loudly(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_np", None)
-        with pytest.raises(ExperimentError, match="numpy is not"):
-            kernels.resolve_kernel("numpy")
-
-    def test_vector_engine_report_identical_without_numpy(
-            self, tiny_config, monkeypatch):
-        batch = AccessBatch.synthetic(
-            1200, num_pages=8, page_size=PAGE, block_size=BLOCK,
-            read_fraction=0.6, locality=0.9, shred_fraction=0.01,
-            epoch_length=64, seed=21, num_cores=2, burst=3)
-
-        with_numpy = System(tiny_config, engine="vector", name="vec")
-        with_numpy.access_engine().run(batch)
-        reference = with_numpy.report().to_dict()
-
-        monkeypatch.setattr(kernels, "_np", None)
-        without = System(tiny_config, engine="vector", name="vec")
-        engine = without.access_engine()
-        assert engine.kernel.name == "py"   # the fallback actually ran
-        without.access_engine().run(batch)
-        assert without.report().to_dict() == reference

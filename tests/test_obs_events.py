@@ -180,7 +180,7 @@ class TestEngineIdentity:
         return "\n".join(format_event(e)
                          for e in system.report().events)
 
-    @pytest.mark.parametrize("engine", ["batch", "vector"])
+    @pytest.mark.parametrize("engine", ["batch"])
     def test_shred_heavy_stream_matches_scalar(self, tiny_config, engine):
         batch = shred_heavy_batch(tiny_config)
         assert self.canonical(tiny_config, batch, engine) \
@@ -202,4 +202,3 @@ class TestEngineIdentity:
             seed=seed)
         scalar = self.canonical(config, batch, "scalar")
         assert self.canonical(config, batch, "batch") == scalar
-        assert self.canonical(config, batch, "vector") == scalar

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import CounterCacheConfig, KB
 from repro.core import DeuceShredderController
 from repro.errors import ExperimentError, SimulationError
 from repro.sim import (AccessBatch, BatchEngine, ScalarEngine, System,
@@ -157,6 +158,92 @@ class TestEquivalenceProperty:
         assert_equivalent(config, batch, collect_data=True)
 
 
+class TestDatapathEffects:
+    """Every controller-state effect the batch engine reaches through
+    the controller's datapath tails, pinned against the scalar engine
+    down to the device contents: write-through counter persistence and
+    its Merkle update, zero-fill reads, shredded write-backs and
+    minor-counter overflow with page re-encryption."""
+
+    HOT_WRITES = 135        # > 127: overflows a 7-bit minor counter
+
+    def config(self, tiny_config):
+        counter_cache = CounterCacheConfig(size_bytes=8 * KB,
+                                           write_policy="writethrough")
+        encryption = replace(tiny_config.encryption, integrity=True)
+        return replace(tiny_config, encryption=encryption,
+                       counter_cache=counter_cache)
+
+    def run_both(self, config, batch):
+        systems = []
+        for engine in ("scalar", "batch"):
+            system = System(config, shredder=True, name="effects",
+                            engine=engine)
+            result = system.access_engine().run(batch, collect_data=True)
+            systems.append((system, result))
+        return systems
+
+    def assert_identical(self, systems):
+        (one, scalar), (two, batched) = systems
+        assert one.report().to_dict() == two.report().to_dict()
+        assert scalar.data == batched.data
+        assert scalar.total_latency_ns == batched.total_latency_ns
+        ctl_one, ctl_two = one.machine.controller, two.machine.controller
+        assert ctl_one.merkle is not None
+        assert ctl_one.merkle.root == ctl_two.merkle.root
+        device_one, device_two = ctl_one.device, ctl_two.device
+        block = ctl_one.block_size
+        for address in range(0, device_one.capacity_bytes, block):
+            assert device_one.peek(address) == device_two.peek(address), \
+                hex(address)
+        kinds = {event["kind"] for event in one.report().events}
+        assert {"zero_fill", "shredded_writeback", "minor_overflow",
+                "iv_regen"} <= kinds
+        assert ctl_one.stats.counter_writebacks > 0
+        assert ctl_one.stats.reencryptions > 0
+        return batched
+
+    def test_controller_mode(self, tiny_config):
+        config = self.config(tiny_config)
+        # One hot block written past minor overflow inside same-page
+        # segments, then a shred-heavy mixed stream.
+        trace = []
+        for i in range(self.HOT_WRITES):
+            trace += [(0, OP_WRITE), ((i % 64) * 64, OP_READ)]
+        mixed = AccessBatch.synthetic(
+            3000, num_pages=6, page_size=config.kernel.page_size,
+            block_size=config.block_size, read_fraction=0.5,
+            locality=0.95, shred_fraction=0.02, epoch_length=64, seed=17)
+        trace += list(zip(mixed.addresses, mixed.ops))
+        batch = AccessBatch.from_trace(trace, epoch_length=64)
+        batched = self.assert_identical(self.run_both(config, batch))
+        assert batched.bulk_hits > 0
+
+    def test_hierarchy_mode(self, tiny_config):
+        config = self.config(tiny_config)
+        # Write one block, then evict it from L4 by reading the other
+        # eight blocks of its set: every round writes it back, so its
+        # minor counter overflows at the controller.
+        l4_sets = config.l4.size_bytes // (config.l4.associativity * 64)
+        stride = l4_sets * config.block_size
+        trace = []
+        for _ in range(self.HOT_WRITES):
+            trace.append((0, OP_WRITE))
+            trace += [(way * stride, OP_READ)
+                      for way in range(1, config.l4.associativity + 1)]
+        cores = [0] * len(trace)
+        mixed = AccessBatch.synthetic(
+            4000, num_pages=40, page_size=config.kernel.page_size,
+            block_size=config.block_size, read_fraction=0.5,
+            locality=0.9, shred_fraction=0.02, epoch_length=64, seed=17,
+            num_cores=2)
+        trace += list(zip(mixed.addresses, mixed.ops))
+        cores += list(mixed.cores)
+        batch = AccessBatch.from_trace(trace, epoch_length=64, cores=cores)
+        batched = self.assert_identical(self.run_both(config, batch))
+        assert batched.bulk["zero_elided"] > 0
+
+
 class TestFallback:
     def test_overridden_datapath_falls_back(self, tiny_config):
         batch = AccessBatch.synthetic(
@@ -184,31 +271,23 @@ class TestFallback:
 class TestEngineSelection:
     def test_unknown_engine_rejected_by_system(self, tiny_config):
         with pytest.raises(ExperimentError,
-                           match="scalar, batch, vector"):
+                           match="scalar, batch"):
             System(tiny_config, engine="vliw")
 
     def test_unknown_engine_rejected_by_factory(self, tiny_config):
         system = System(tiny_config)
-        with pytest.raises(ExperimentError, match="unknown access engine"):
-            make_engine("vliw", system.machine.controller)
+        for spec in ("vliw", "vector", "batch:numpy"):
+            with pytest.raises(ExperimentError,
+                               match="unknown access engine"):
+                make_engine(spec, system.machine.controller)
 
     def test_unknown_error_names_every_valid_kind(self, tiny_config):
         system = System(tiny_config)
         with pytest.raises(ExperimentError) as excinfo:
             make_engine("simd", system.machine.controller)
         message = str(excinfo.value)
-        for kind in ("scalar", "batch", "vector"):
+        for kind in ("scalar", "batch"):
             assert kind in message
-
-    def test_kernel_suffix_only_on_vector(self, tiny_config):
-        system = System(tiny_config)
-        with pytest.raises(ExperimentError, match="kernel suffix"):
-            make_engine("batch:numpy", system.machine.controller)
-
-    def test_unknown_kernel_suffix_rejected(self, tiny_config):
-        system = System(tiny_config)
-        with pytest.raises(ExperimentError, match="unknown vector kernel"):
-            make_engine("vector:fortran", system.machine.controller)
 
     def test_system_default_is_scalar(self, tiny_config):
         system = System(tiny_config)

@@ -13,7 +13,7 @@ Asserts:
   export lays each process on its own lane;
 * the flight-recorder event log embedded in every report is
   byte-identical between the serial reference run and the cluster run,
-  and across the scalar/batch/vector engines.
+  and between the scalar and batch engines.
 
 Exits non-zero (with a one-line reason) on any violation.
 
@@ -56,15 +56,14 @@ def main():
     if not any(report.events for report in serial):
         return fail("shred-heavy run recorded no flight-recorder events")
 
-    for engine in ("batch", "vector"):
-        engined = Runner(use_cache=False).run(
-            [stream_experiment(i, engine) for i in range(TASKS)])
-        for index, (a, b) in enumerate(zip(serial, engined)):
-            if event_log(a) != event_log(b):
-                return fail(f"task {index}: {engine}-engine event log "
-                            f"diverged from scalar")
-    print("trace-smoke: event logs identical across "
-          "scalar/batch/vector engines")
+    batched = Runner(use_cache=False).run(
+        [stream_experiment(i, "batch") for i in range(TASKS)])
+    for index, (a, b) in enumerate(zip(serial, batched)):
+        if event_log(a) != event_log(b):
+            return fail(f"task {index}: batch-engine event log "
+                        f"diverged from scalar")
+    print("trace-smoke: event logs identical across the scalar and "
+          "batch engines")
 
     tracer = default_tracer()
     before = len(tracer.records)
