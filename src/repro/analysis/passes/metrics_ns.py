@@ -45,7 +45,7 @@ DEFAULT_PREFIXES = (
     "mem.nvm", "mem.channel", "mem.ctrl", "mem.device", "mem.dram",
     "cache.counter", "cache.l1", "cache.l2", "cache.l3", "cache.l4",
     "cache.hierarchy", "core.shredder", "kernel", "cpu", "sim.engine",
-    "exec.batch", "exec.task", "exec.cache", "exec.dist", "exec.worker",
+    "exec.batch", "exec.task", "exec.cache", "exec.worker",
     "exec.cluster", "obs.events",
 )
 

@@ -2,7 +2,7 @@
 
 The cluster stack speaks length-prefixed JSON frames: a dict with a
 ``"type"`` discriminator drawn from the ``MSG_*`` vocabulary in
-``repro.exec.wire``. The dispatcher, workers, backends, and the CLI
+``repro.exec.wire``. The dispatcher, workers, clients, and the CLI
 each construct some frame types and read others — across a process
 boundary, so no test that runs in one process can see a field written
 on one side and silently ignored (or never produced) on the other.
@@ -472,13 +472,13 @@ class WireSchemaPass(ProjectPass):
                     "across construction sites",
     }
     scope = ("repro.exec", "repro.cli")
-    version = 1
+    version = 2
 
     #: The real protocol universe. REPRO601/602 need *all* of these in
     #: the analyzed set (or none of them: a self-contained fixture).
     required_modules = frozenset({
-        "repro.exec.wire", "repro.exec.worker", "repro.exec.backends",
-        "repro.exec.cluster", "repro.cli",
+        "repro.exec.wire", "repro.exec.worker", "repro.exec.cluster",
+        "repro.cli",
     })
 
     def check_project(self, sources: Sequence[SourceFile],

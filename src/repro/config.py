@@ -128,6 +128,8 @@ class EncryptionConfig:
     def __post_init__(self) -> None:
         _require(len(self.key) == 16, "AES-128 requires a 16-byte key")
         _require(self.minor_counter_bits >= 2, "minor counters need >= 2 bits")
+        # 64 minors share the 448 bits after the major in a 64 B block.
+        _require(self.minor_counter_bits <= 7, "minor counters fit in <= 7 bits")
         _require(self.major_counter_bits in (32, 64), "major counter is 32 or 64 bits")
 
     @property

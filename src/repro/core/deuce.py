@@ -134,41 +134,6 @@ class DeuceShredderController(SilentShredderController):
         epoch_plain = xor_bytes(ciphertext, epoch_pad)
         return self._splice(epoch_plain, lead_plain, state.mask)
 
-    def fetch_block(self, address: int, at=None, *,
-                    now_ns=None) -> AccessResult:
-        now = resolve_time(self.clock, at, now_ns)
-        self._check_data_address(address)
-        page_id = self.page_of(address)
-        offset = self.offset_of(address)
-        fetch = self.get_counters(page_id, now)
-        counters, counter_latency, hit = \
-            fetch.counters, fetch.latency_ns, fetch.hit
-
-        if self.zero_semantics and counters.is_shredded(offset):
-            self.stats.zero_fill_reads += 1
-            self.stats.read_requests += 1
-            self.stats.total_read_latency_ns += counter_latency
-            return AccessResult(data=self._zero_block if self.functional else None,
-                                latency_ns=counter_latency, zero_filled=True,
-                                counter_hit=hit)
-
-        access = self.mem.read_block(address, now + counter_latency)
-        self.stats.data_reads += 1
-        plaintext = None
-        if self.functional:
-            if self.encrypted:
-                plaintext = self._decrypt_line(address, access.data,
-                                               page_id, offset, counters)
-            else:
-                plaintext = access.data
-        latency = (counter_latency
-                   + max(access.latency_ns, self._pad_latency_ns)
-                   + self._xor_latency_ns)
-        self.stats.read_requests += 1
-        self.stats.total_read_latency_ns += latency
-        return AccessResult(data=plaintext, latency_ns=latency,
-                            counter_hit=hit)
-
     def store_block(self, address: int, data: Optional[bytes] = None,
                     at=None, *, now_ns=None) -> AccessResult:
         now = resolve_time(self.clock, at, now_ns)

@@ -28,6 +28,9 @@ from ..errors import AddressError, CounterOverflowError
 MINOR_AFTER_REENCRYPTION = 1
 #: Reserved minor-counter value marking a shredded (zero-fill) block.
 MINOR_SHREDDED = 0
+#: Bytes after the 8-byte major in a packed 64 B counter block: room for
+#: 64 minors of up to 7 bits each.
+MINOR_FIELD_BYTES = 56
 
 
 @dataclass(frozen=True)
@@ -164,14 +167,13 @@ class CounterBlock:
         """Serialize to the 64 B on-chip/NVM representation.
 
         Layout: 8-byte big-endian major counter, then the minors packed
-        ``minor_bits`` each into a little-endian bit stream.
+        ``minor_bits`` each into a little-endian bit stream, zero-padded
+        to the 56 bytes after the major whatever the minor width.
         """
-        bits = 0
         acc = 0
         for minor in reversed(self.minors):
             acc = (acc << self.minor_bits) | minor
-            bits += self.minor_bits
-        minor_bytes = acc.to_bytes((bits + 7) // 8, "little")
+        minor_bytes = acc.to_bytes(MINOR_FIELD_BYTES, "little")
         return struct.pack(">Q", self.major & ((1 << 64) - 1)) + minor_bytes
 
     @classmethod

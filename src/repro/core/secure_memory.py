@@ -294,6 +294,16 @@ class SecureMemoryController:
     # are probe + tail; the batch engine calls the tails directly for
     # the guaranteed-hit accesses whose probes it elides.
 
+    def _decrypt_line(self, address: int, ciphertext: bytes, page_id: int,
+                      offset: int, counters: CounterBlock) -> bytes:
+        """Plaintext of one stored block under its current counters.
+
+        The read tail's decrypt hook: one pad per line here; DEUCE
+        overrides it with its word-granular epoch/leading pads.
+        """
+        return self.engine.decrypt(ciphertext,
+                                   self._iv(page_id, offset, counters))
+
     def _fetch_resident(self, address: int, counters: CounterBlock,
                         counter_latency: float, hit: bool,
                         now: float) -> AccessResult:
@@ -321,8 +331,8 @@ class SecureMemoryController:
         plaintext: Optional[bytes] = None
         if self.functional:
             if self.encrypted:
-                iv = self._iv(page_id, offset, counters)
-                plaintext = self.engine.decrypt(access.data, iv)
+                plaintext = self._decrypt_line(address, access.data,
+                                               page_id, offset, counters)
             else:
                 plaintext = access.data
         # Pad generation overlaps the NVM fetch; only the larger of the

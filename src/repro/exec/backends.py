@@ -17,7 +17,7 @@ instead of returning lets the runner store results into the persistent
 cache and emit progress the moment each one lands, even when a remote
 worker finishes out of order. ``notify(label, source)`` is an optional
 hook for non-completion events — currently only ``"retry"``, emitted
-by the distributed dispatcher when a task is re-queued.
+by the cluster backend when the dispatcher re-queues a task.
 
 Every backend round-trips results through ``SystemReport.to_dict()``
 — including the in-process :class:`SerialBackend` — so a batch
@@ -30,37 +30,29 @@ Implementations:
 * :class:`ForkPoolBackend` — a ``multiprocessing`` fork pool
   (extracted from the original ``Runner`` internals); falls back to
   serial where ``fork`` is unavailable.
-* :class:`DistributedBackend` — ships experiments to TCP workers
-  (``python -m repro worker serve``) over the length-prefixed JSON
-  protocol in :mod:`repro.exec.wire`, with per-task timeouts, bounded
-  retry with exponential backoff, per-worker health tracking, and
-  automatic re-queue of tasks stranded on dead workers.
+* :class:`~repro.exec.cluster.ClusterBackend` — a client of the
+  experiment cluster dispatcher (:mod:`repro.exec.cluster`), which owns
+  per-task timeouts, bounded retry, worker health, and re-queue of
+  tasks stranded on dead workers.
 """
 
 from __future__ import annotations
 
 import abc
 import multiprocessing
-import queue
-import socket
-import threading
-import time
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterator, Optional, Sequence, Tuple,
+                    Union)
 
-from ..errors import BackendError, WireProtocolError
-from ..obs import DEFAULT_DURATION_BUCKETS_NS, MetricsRegistry, default_tracer
+from ..errors import BackendError
 from ..sim.system import SystemReport
 from .experiment import Experiment
 from .spec import BackendSpec
-from .wire import (MSG_ERROR, MSG_RESULT, recv_message, run_request,
-                   send_message)
 from .workloads import execute_experiment
 
 #: non-completion event hook: (experiment label, event source)
 NotifyFn = Callable[[str, str], None]
 
-#: a worker endpoint: ("host", port) or a "host:port" string
+#: a network endpoint: ("host", port) or a "host:port" string
 Address = Union[Tuple[str, int], str]
 
 
@@ -107,20 +99,17 @@ class ExecutionBackend(abc.ABC):
 
     @classmethod
     def from_spec(cls, spec: Union["ExecutionBackend", BackendSpec, str], *,
-                  metrics: Optional[MetricsRegistry] = None,
                   task_timeout: Optional[float] = None) -> "ExecutionBackend":
         """The backend a spec string / :class:`BackendSpec` describes.
 
         The one factory behind every entry point: ``"serial"``,
-        ``"fork:8"``, ``"dist://h1:7070,h2:7070"``,
-        ``"cluster://host:7071?weight=3"`` (grammar in
+        ``"fork:8"``, ``"cluster://host:7071?weight=3"`` (grammar in
         :mod:`repro.exec.spec`). An already-constructed backend passes
         through unchanged, so call sites can accept either form.
         """
         if isinstance(spec, ExecutionBackend):
             return spec
-        return BackendSpec.coerce(spec).create(metrics=metrics,
-                                               task_timeout=task_timeout)
+        return BackendSpec.coerce(spec).create(task_timeout=task_timeout)
 
 
 class SerialBackend(ExecutionBackend):
@@ -174,294 +163,19 @@ class ForkPoolBackend(ExecutionBackend):
         return f"fork-pool({self.jobs})"
 
 
-# ---------------------------------------------------------------------------
-# The distributed dispatcher
-# ---------------------------------------------------------------------------
-
 def parse_address(value: Address) -> Tuple[str, int]:
     """Normalise ``"host:port"`` / ``("host", port)`` to a tuple."""
     if isinstance(value, str):
         host, separator, port_text = value.rpartition(":")
         if not separator or not host:
             raise BackendError(
-                f"worker address must look like 'host:port', got {value!r}")
+                f"address must look like 'host:port', got {value!r}")
         try:
             return host, int(port_text)
         except ValueError:
-            raise BackendError(f"bad worker port in address {value!r}")
+            raise BackendError(f"bad port in address {value!r}")
     host, port = value
     return str(host), int(port)
-
-
-class _Task:
-    """One unit of dispatch: a serialized experiment plus retry state."""
-
-    __slots__ = ("index", "payload", "label", "attempts")
-
-    def __init__(self, index: int, payload: Dict[str, Any], label: str) -> None:
-        self.index = index
-        self.payload = payload
-        self.label = label
-        self.attempts = 0       # failed attempts charged to the task
-
-
-class _WorkerState:
-    """Health bookkeeping for one remote worker endpoint."""
-
-    __slots__ = ("address", "consecutive_failures", "alive", "completed",
-                 "last_metrics", "spans")
-
-    def __init__(self, address: Tuple[str, int]) -> None:
-        self.address = address
-        self.consecutive_failures = 0
-        self.alive = True
-        self.completed = 0
-        # The worker's latest cumulative registry snapshot. Kept
-        # last-wins (not merged per frame) because each frame carries
-        # the worker's running totals; merging every frame would
-        # multiply-count them.
-        self.last_metrics: Optional[Dict[str, Any]] = None
-        # Span records shipped on result frames. Unlike metrics these
-        # are per-task (not cumulative), so they accumulate.
-        self.spans: List[Dict[str, Any]] = []
-
-
-class _WorkerDown(Exception):
-    """The worker endpoint failed (connect refused, reset mid-task).
-
-    Charged to the *worker's* health, not the task's retry budget: the
-    task is requeued for the surviving workers.
-    """
-
-
-class _TaskFailed(Exception):
-    """The task attempt itself failed (timeout or an error reply)."""
-
-    def __init__(self, message: str, *, timed_out: bool = False) -> None:
-        super().__init__(message)
-        self.timed_out = timed_out
-
-
-class DistributedBackend(ExecutionBackend):
-    """Dispatch experiments to remote TCP workers.
-
-    Parameters
-    ----------
-    workers:
-        Worker endpoints: ``("host", port)`` tuples or ``"host:port"``
-        strings. One dispatcher thread drives each endpoint.
-    task_timeout:
-        Seconds to wait for one task's result before charging the
-        attempt against the task's retry budget.
-    max_retries:
-        Failed attempts (timeouts, error replies) a task survives
-        before the whole batch fails with :class:`BackendError` naming
-        the experiment.
-    backoff_base / backoff_cap:
-        Exponential backoff between a task's retries:
-        ``min(cap, base * 2**(attempts-1))`` seconds.
-    connect_timeout:
-        Seconds to wait for a TCP connection to a worker.
-    max_worker_failures:
-        Consecutive endpoint failures (refused connections, resets)
-        before a worker is declared dead and its tasks re-queued for
-        the survivors. When every worker is dead with work still
-        outstanding the batch fails.
-    metrics:
-        A :class:`~repro.obs.MetricsRegistry` receiving ``exec.dist.*``
-        dispatch telemetry (requeues, retries, timeouts, per-task wall
-        time) plus each worker's merged ``exec.worker.*`` counters.
-        Defaults to a private registry.
-    """
-
-    def __init__(self, workers: Sequence[Address], *,
-                 task_timeout: float = 300.0,
-                 max_retries: int = 3,
-                 backoff_base: float = 0.05,
-                 backoff_cap: float = 2.0,
-                 connect_timeout: float = 5.0,
-                 max_worker_failures: int = 3,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
-        addresses = [parse_address(worker) for worker in workers]
-        if not addresses:
-            raise BackendError("DistributedBackend needs at least one worker")
-        self.addresses = addresses
-        self.task_timeout = float(task_timeout)
-        self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
-        self.connect_timeout = float(connect_timeout)
-        self.max_worker_failures = int(max_worker_failures)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._m_completed = self.metrics.counter(
-            "exec.dist.tasks_completed", unit="ops")
-        self._m_requeues = self.metrics.counter(
-            "exec.dist.requeues", unit="ops")
-        self._m_task_failures = self.metrics.counter(
-            "exec.dist.task_failures", unit="ops")
-        self._m_timeouts = self.metrics.counter(
-            "exec.dist.timeouts", unit="ops")
-        self._m_worker_failures = self.metrics.counter(
-            "exec.dist.worker_failures", unit="ops")
-        self._m_task_duration = self.metrics.histogram(
-            "exec.dist.task_duration_ns", unit="ns",
-            buckets=DEFAULT_DURATION_BUCKETS_NS)
-
-    def describe(self) -> str:
-        endpoints = ",".join(f"{host}:{port}" for host, port in self.addresses)
-        return f"distributed({endpoints})"
-
-    # -- dispatch -------------------------------------------------------------------
-
-    def submit(self, experiments: Sequence[Experiment], *,
-               notify: Optional[NotifyFn] = None,
-               ) -> Iterator[Tuple[int, SystemReport]]:
-        total = len(experiments)
-        if not total:
-            return
-        tasks: "queue.Queue[_Task]" = queue.Queue()
-        for index, experiment in enumerate(experiments):
-            label = experiment.name or experiment.workload
-            tasks.put(_Task(index, experiment.to_dict(), label))
-
-        # One trace context for the whole batch, captured on the
-        # caller's thread so the runner's open exec.batch span becomes
-        # the remote tasks' parent.
-        trace = default_tracer().context().to_dict()
-        results: "queue.Queue[Tuple[str, Any, Any]]" = queue.Queue()
-        stop = threading.Event()
-        states = [_WorkerState(address) for address in self.addresses]
-        threads = [
-            threading.Thread(target=self._drive_worker, name=f"repro-dispatch-{i}",
-                             args=(state, tasks, results, stop, notify, trace),
-                             daemon=True)
-            for i, state in enumerate(states)
-        ]
-        for thread in threads:
-            thread.start()
-
-        delivered = 0
-        seen = set()
-        try:
-            while delivered < total:
-                try:
-                    kind, first, second = results.get(timeout=0.1)
-                except queue.Empty:
-                    if not any(thread.is_alive() for thread in threads):
-                        outstanding = total - delivered
-                        raise BackendError(
-                            f"all {len(states)} workers died with "
-                            f"{outstanding} tasks outstanding "
-                            f"(endpoints: {self.describe()})")
-                    continue
-                if kind == "fatal":
-                    raise first
-                index, document = first, second
-                if index in seen:       # pragma: no cover - defensive
-                    continue
-                seen.add(index)
-                delivered += 1
-                yield index, SystemReport.from_dict(document)
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=5.0)
-            # Fold each worker's final cumulative snapshot in exactly
-            # once, after the dispatch threads are done writing them.
-            for state in states:
-                if state.last_metrics:
-                    self.metrics.merge_snapshot(state.last_metrics)
-                if state.spans:
-                    default_tracer().ingest(state.spans)
-
-    def _drive_worker(self, state: _WorkerState, tasks: "queue.Queue[_Task]",
-                      results: "queue.Queue[Tuple[str, Any, Any]]",
-                      stop: threading.Event,
-                      notify: Optional[NotifyFn],
-                      trace: Optional[Dict[str, Any]] = None) -> None:
-        while not stop.is_set():
-            try:
-                task = tasks.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            started = time.perf_counter_ns()
-            try:
-                document = self._dispatch(state, task.payload, trace=trace)
-            except _WorkerDown as error:
-                # The endpoint's fault: requeue for the survivors,
-                # charge the worker's health, not the task.
-                tasks.put(task)
-                self._m_requeues.inc()
-                if notify is not None:
-                    notify(task.label, "retry")
-                state.consecutive_failures += 1
-                if state.consecutive_failures >= self.max_worker_failures:
-                    state.alive = False
-                    self._m_worker_failures.inc()
-                    return
-                time.sleep(self._backoff(state.consecutive_failures))
-            except _TaskFailed as error:
-                task.attempts += 1
-                self._m_task_failures.inc()
-                if error.timed_out:
-                    self._m_timeouts.inc()
-                if task.attempts > self.max_retries:
-                    results.put(("fatal", BackendError(
-                        f"experiment {task.label!r} failed after "
-                        f"{task.attempts} attempts "
-                        f"(last worker {state.address[0]}:{state.address[1]}): "
-                        f"{error}"), None))
-                    return
-                if notify is not None:
-                    notify(task.label, "retry")
-                time.sleep(self._backoff(task.attempts))
-                tasks.put(task)
-            else:
-                state.consecutive_failures = 0
-                state.completed += 1
-                self._m_completed.inc()
-                self._m_task_duration.observe(time.perf_counter_ns() - started)
-                results.put(("result", task.index, document))
-
-    def _backoff(self, attempts: int) -> float:
-        return min(self.backoff_cap,
-                   self.backoff_base * (2 ** max(attempts - 1, 0)))
-
-    def _dispatch(self, state: _WorkerState,
-                  payload: Dict[str, Any], *,
-                  trace: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Run one task on one worker; raise a classified failure."""
-        address = state.address
-        try:
-            sock = socket.create_connection(address,
-                                            timeout=self.connect_timeout)
-        except OSError as error:
-            raise _WorkerDown(f"connect failed: {error}")
-        try:
-            sock.settimeout(self.task_timeout)
-            try:
-                send_message(sock, run_request(payload, trace=trace))
-                reply = recv_message(sock)
-            except socket.timeout:
-                raise _TaskFailed(
-                    f"no result within {self.task_timeout:g}s",
-                    timed_out=True)
-            except (OSError, WireProtocolError) as error:
-                # Connection reset / truncated frame: the worker died
-                # (or went insane) mid-task.
-                raise _WorkerDown(f"connection lost mid-task: {error}")
-        finally:
-            sock.close()
-        if reply.get("type") == MSG_RESULT and "result" in reply:
-            if isinstance(reply.get("metrics"), dict):
-                state.last_metrics = reply["metrics"]
-            if isinstance(reply.get("spans"), list):
-                state.spans.extend(reply["spans"])
-            return reply["result"]
-        if reply.get("type") == MSG_ERROR:
-            raise _TaskFailed(
-                f"{reply.get('kind', 'Error')}: {reply.get('error', '?')}")
-        raise _TaskFailed(f"unexpected reply type {reply.get('type')!r}")
 
 
 def resolve_backend(jobs: int = 1,

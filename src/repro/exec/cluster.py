@@ -1,9 +1,7 @@
 """Simulation-as-a-service: the multi-tenant experiment cluster.
 
-:class:`ClusterDispatcher` is a long-lived asyncio service that turns
-the per-run :class:`~repro.exec.DistributedBackend` topology inside
-out. Instead of one client driving a fixed list of worker addresses,
-*everyone dials the dispatcher*:
+:class:`ClusterDispatcher` is the one distributed execution path: a
+long-lived asyncio service that *everyone dials*:
 
 * **Workers** self-register over a persistent connection
   (``repro worker serve --register HOST:PORT``), send idle heartbeats,
@@ -22,12 +20,12 @@ out. Instead of one client driving a fixed list of worker addresses,
   *coalesced* into a single execution whose result fans out to all
   submitters.
 
-Fault handling mirrors the distributed backend: a worker that dies
-mid-task has its task re-queued for the survivors (charged to the
-worker, not the task), an executor error burns one of the task's
-retries, and a task that exhausts ``max_retries`` fails only its own
-batch. A ``drain`` admin request completes all queued and in-flight
-work — none lost, none duplicated — then refuses new submissions.
+Fault handling: a worker that dies mid-task has its task re-queued for
+the survivors (charged to the worker, not the task), an executor error
+or a task timeout burns one of the task's retries, and a task that
+exhausts ``max_retries`` fails only its own batch. A ``drain`` admin
+request completes all queued and in-flight work — none lost, none
+duplicated — then refuses new submissions.
 
 All connections speak the length-prefixed JSON protocol of
 :mod:`repro.exec.wire`; give the dispatcher and every peer the same
@@ -40,6 +38,10 @@ Telemetry rides the ``exec.cluster.*`` namespace (queue depth,
 per-task latency, drain latency, cache-tier hits; see
 ``docs/OBSERVABILITY.md``), and per-client throughput is served from
 the ``status`` admin request.
+
+:func:`local_cluster` composes the whole service on one machine — an
+in-process dispatcher, forked registered workers and a client backend
+— which is what ``--spawn-local N`` runs.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ from __future__ import annotations
 import asyncio
 import collections
 import contextlib
+import multiprocessing.connection
 import os
 import socket
 import threading
 import time
-from typing import (Any, Deque, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Deque, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from ..errors import (BackendError, ClusterError, WireAuthError,
                       WireProtocolError)
@@ -68,6 +71,7 @@ from .wire import (HEADER_BYTES, MSG_BATCH_DONE, MSG_DRAIN, MSG_DRAINED,
                    MSG_STATUS, MSG_SUBMIT, MSG_WELCOME, PROTO_VERSION,
                    FrameAuth, decode_payload, encode_frame, hello_message,
                    recv_message, send_message, unpack_length)
+from .worker import RegisteredWorker, spawn_registered_workers
 
 #: How long a connecting peer has to present its ``hello`` frame.
 HANDSHAKE_TIMEOUT = 10.0
@@ -270,8 +274,10 @@ class ClusterDispatcher:
         Failed attempts (errors, timeouts) a task survives before its
         submitting batches receive an ``error`` frame.
     heartbeat_timeout:
-        Seconds of silence after which a registered worker is declared
-        dead and its in-flight task re-queued.
+        Seconds of silence after which an idle registered worker is
+        declared dead. A worker runs one task at a time and sends
+        nothing meanwhile, so a busy worker is bounded by
+        ``task_timeout`` instead.
     tick:
         Reaper period (seconds) for deadline and heartbeat checks.
     ssl:
@@ -320,6 +326,8 @@ class ClusterDispatcher:
         self._reaper: Optional[asyncio.Task] = None
         self._drain_waiters: List[asyncio.Future] = []
         self._on_stop: List[Any] = []
+        #: every open connection, handshaking ones included, for stop()
+        self._connections: Set[asyncio.StreamWriter] = set()
 
         if self.cache is not None:
             self.cache.bind_metrics(self.metrics, prefix="exec.cluster.cache")
@@ -385,9 +393,10 @@ class ClusterDispatcher:
         for worker in list(self._workers.values()):
             self._write(worker.writer, {"type": MSG_GOODBYE})
             worker.closing = True
-            worker.writer.close()
-        for client in list(self._clients.values()):
-            client.writer.close()
+        # Includes peers still waiting for their hello, which no
+        # session table knows yet.
+        for writer in list(self._connections):
+            writer.close()
         if self._server is not None:
             await self._server.wait_closed()
         for callback in self._on_stop:
@@ -397,22 +406,31 @@ class ClusterDispatcher:
 
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        if self._stopped:
+            writer.close()
+            return
+        self._connections.add(writer)
+        try:
+            await self._handshake(reader, writer)
+        finally:
+            self._connections.discard(writer)
+            writer.close()
+
+    async def _handshake(self, reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter) -> None:
         try:
             hello = await asyncio.wait_for(_read_frame(reader, self.auth),
                                            HANDSHAKE_TIMEOUT)
         except WireAuthError:
             self._m_auth_failures.inc()
-            writer.close()
             return
         except (_ConnectionClosed, WireProtocolError, asyncio.TimeoutError,
                 OSError):
-            writer.close()
             return
         if hello.get("type") != MSG_HELLO:
             self._write(writer, {"type": MSG_ERROR,
                                  "error": "expected a hello frame",
                                  "kind": "ClusterError"})
-            writer.close()
             return
         # Absent means a pre-versioning peer, which speaks generation 1.
         proto = hello.get("proto", PROTO_VERSION)
@@ -422,20 +440,16 @@ class ClusterDispatcher:
                                           f"{proto!r} (dispatcher speaks "
                                           f"{PROTO_VERSION})",
                                  "kind": "ClusterError"})
-            writer.close()
             return
         role = hello.get("role")
-        try:
-            if role == "worker":
-                await self._serve_worker(reader, writer, hello)
-            elif role == "client":
-                await self._serve_client(reader, writer, hello)
-            else:
-                self._write(writer, {"type": MSG_ERROR,
-                                     "error": f"unknown role {role!r}",
-                                     "kind": "ClusterError"})
-        finally:
-            writer.close()
+        if role == "worker":
+            await self._serve_worker(reader, writer, hello)
+        elif role == "client":
+            await self._serve_client(reader, writer, hello)
+        else:
+            self._write(writer, {"type": MSG_ERROR,
+                                 "error": f"unknown role {role!r}",
+                                 "kind": "ClusterError"})
 
     # -- worker sessions ----------------------------------------------------------
 
@@ -772,7 +786,11 @@ class ClusterDispatcher:
             for worker in list(self._workers.values()):
                 if worker.closing:
                     continue
-                if worker.task is not None and now > worker.deadline:
+                if worker.task is not None:
+                    # A busy worker is silent until its result: only
+                    # the task deadline bounds it, not the heartbeat.
+                    if now <= worker.deadline:
+                        continue
                     # Wedged mid-task: the protocol has no cancel, so
                     # drop the connection and charge the attempt to
                     # the task (it may be the task's fault).
@@ -867,9 +885,6 @@ class ClusterDispatcher:
             stats = self.cache.stats
             reply["cache"] = {"hits": stats.hits, "misses": stats.misses,
                               "stores": stats.stores}
-        # The full registry snapshot powers `repro top` and any other
-        # poller that wants more than the summary counters above.
-        reply["metrics"] = self.metrics.snapshot()
         return reply
 
 
@@ -882,7 +897,8 @@ class ClusterServer:
 
     The synchronous face of the service for tests, scripts and the CLI:
     ``start()`` returns the bound endpoint, ``wait()`` blocks until an
-    admin ``shutdown`` stops the dispatcher, ``close()`` tears it down.
+    admin ``shutdown`` or ``stop()`` stops the dispatcher, ``close()``
+    tears it down.
     Usable as a context manager.
     """
 
@@ -921,14 +937,25 @@ class ClusterServer:
         """Block until the dispatcher stops; True if it did."""
         return self._stopped.wait(timeout)
 
-    def close(self) -> None:
-        loop, thread = self._loop, self._thread
-        self._loop = self._thread = None
+    def stop(self) -> None:
+        """Stop the dispatcher but keep its loop turning.
+
+        Connections accepted just before the stop still reach their
+        handler, which hangs up on them, so no peer is left waiting.
+        """
+        loop = self._loop
         if loop is None:
             return
         with contextlib.suppress(Exception):
             asyncio.run_coroutine_threadsafe(
                 self.dispatcher.stop(), loop).result(timeout=10.0)
+
+    def close(self) -> None:
+        self.stop()
+        loop, thread = self._loop, self._thread
+        self._loop = self._thread = None
+        if loop is None:
+            return
         loop.call_soon_threadsafe(loop.stop)
         if thread is not None:
             thread.join(timeout=10.0)
@@ -1009,6 +1036,12 @@ class ClusterBackend(ExecutionBackend):
         sock.settimeout(self.frame_timeout)
         return sock
 
+    def _send(self, sock: socket.socket, message: Dict[str, Any]) -> None:
+        try:
+            send_message(sock, message, auth=self.auth)
+        except OSError as error:
+            raise self._broken(error)
+
     def _recv(self, sock: socket.socket) -> Dict[str, Any]:
         try:
             return recv_message(sock, auth=self.auth)
@@ -1016,12 +1049,15 @@ class ClusterBackend(ExecutionBackend):
             raise ClusterError(
                 f"no frame from the dispatcher within "
                 f"{self.frame_timeout:g}s")
-        except WireProtocolError as error:
-            host, port = self.address
-            raise ClusterError(
-                f"cluster session with {host}:{port} broke: {error} "
-                f"(a mid-handshake hangup usually means an auth key "
-                f"mismatch)")
+        except (WireProtocolError, OSError) as error:
+            raise self._broken(error)
+
+    def _broken(self, error: Exception) -> ClusterError:
+        host, port = self.address
+        return ClusterError(
+            f"cluster session with {host}:{port} broke: {error} "
+            f"(a mid-handshake hangup usually means an auth key "
+            f"mismatch)")
 
     def submit(self, experiments: Sequence[Experiment], *,
                notify: Optional[NotifyFn] = None,
@@ -1030,9 +1066,8 @@ class ClusterBackend(ExecutionBackend):
             return
         sock = self._connect()
         try:
-            send_message(sock, hello_message("client", self.client_name,
-                                            weight=self.weight),
-                         auth=self.auth)
+            self._send(sock, hello_message("client", self.client_name,
+                                           weight=self.weight))
             welcome = self._recv(sock)
             if welcome.get("type") != MSG_WELCOME:
                 raise ClusterError(
@@ -1041,10 +1076,9 @@ class ClusterBackend(ExecutionBackend):
             # The batch's trace context rides the submit frame so
             # dispatcher and worker spans land in this client's trace.
             batch_id = "b0"
-            send_message(sock, {"type": MSG_SUBMIT, "batch": batch_id,
-                                "experiments": documents,
-                                "trace": default_tracer().context().to_dict()},
-                         auth=self.auth)
+            self._send(sock, {"type": MSG_SUBMIT, "batch": batch_id,
+                              "experiments": documents,
+                              "trace": default_tracer().context().to_dict()})
             remaining = len(documents)
             while remaining:
                 message = self._recv(sock)
@@ -1077,6 +1111,84 @@ class ClusterBackend(ExecutionBackend):
                         f"results missing")
         finally:
             sock.close()
+
+
+# ---------------------------------------------------------------------------
+# The whole cluster on one machine
+# ---------------------------------------------------------------------------
+
+class LocalCluster(NamedTuple):
+    """A running :func:`local_cluster`: dispatcher, workers, client."""
+
+    server: ClusterServer
+    workers: List[RegisteredWorker]
+    backend: ClusterBackend
+
+
+def _watch_pool(cluster: LocalCluster, stop: threading.Event,
+                dead: threading.Event) -> None:
+    """Stop the dispatcher once every worker process has exited.
+
+    Stopping it closes the client's session, so a batch fails at once
+    instead of waiting out the client's frame timeout.
+    """
+    sentinels = [worker.process.sentinel for worker in cluster.workers]
+    while sentinels and not stop.is_set():
+        ready = multiprocessing.connection.wait(sentinels, timeout=0.2)
+        sentinels = [s for s in sentinels if s not in ready]
+    if not sentinels and not stop.is_set():
+        dead.set()
+        cluster.server.stop()
+
+
+@contextlib.contextmanager
+def local_cluster(workers: int, *,
+                  metrics: Optional[MetricsRegistry] = None,
+                  task_timeout: float = 300.0) -> Iterator[LocalCluster]:
+    """Run the experiment cluster in this process, with forked workers.
+
+    Starts a :class:`ClusterServer` on an ephemeral local port, forks
+    ``workers`` registered workers that dial it, and yields a
+    :class:`LocalCluster` whose ``backend`` plugs into
+    :class:`~repro.exec.Runner`. ``metrics`` receives the dispatcher's
+    ``exec.cluster.*`` instruments and ``task_timeout`` bounds each
+    task attempt. The client outwaits any task the dispatcher lets
+    run, so the dispatcher's timeout and retry verdicts arrive first.
+
+    If every worker process exits while the cluster is up, the
+    dispatcher is stopped, and the running batch fails
+    with :class:`~repro.errors.BackendError` at once. On exit the
+    dispatcher says goodbye to the workers and any left are terminated.
+    """
+    server = ClusterServer(metrics=metrics, task_timeout=task_timeout)
+    server.start()
+    pool: List[RegisteredWorker] = []
+    stop = threading.Event()
+    dead = threading.Event()
+    watchdog: Optional[threading.Thread] = None
+    try:
+        pool = spawn_registered_workers(workers, server.endpoint)
+        backend = ClusterBackend(server.endpoint,
+                                 frame_timeout=max(600.0, 2 * task_timeout))
+        cluster = LocalCluster(server, pool, backend)
+        watchdog = threading.Thread(target=_watch_pool,
+                                    args=(cluster, stop, dead),
+                                    name="repro-pool-watch", daemon=True)
+        watchdog.start()
+        yield cluster
+    except BackendError as error:
+        if dead.is_set():
+            raise BackendError(
+                f"all {workers} local workers exited with work "
+                f"outstanding") from error
+        raise
+    finally:
+        stop.set()
+        if watchdog is not None:
+            watchdog.join()
+        server.close()
+        for worker in pool:
+            worker.terminate()
 
 
 # ---------------------------------------------------------------------------

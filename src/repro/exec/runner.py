@@ -4,7 +4,7 @@ A :class:`Runner` executes a batch of :class:`Experiment`\\ s: it
 deduplicates the batch by content hash, serves whatever the persistent
 cache already holds, hands the remainder to an
 :class:`~repro.exec.backends.ExecutionBackend` (serial, fork pool, or
-distributed TCP workers), and stores fresh results back into the
+the experiment cluster), and stores fresh results back into the
 cache. Cache consultation lives *here*, above the backend seam, so
 every backend gets dedupe and persistence for free.
 
@@ -15,7 +15,7 @@ byte-identical reports whatever backend runs it.
 Progress is reported through :class:`ProgressEvent` values carrying
 ``completed``, ``total``, ``label`` and a ``source`` telling where the
 event came from (``"cache"`` hit, ``"worker"`` completion, or a
-distributed ``"retry"``). The removed three-argument ``(completed,
+cluster ``"retry"``). The removed three-argument ``(completed,
 total, label)`` callback form is rejected with an
 :class:`~repro.errors.ExperimentError`.
 """
@@ -47,8 +47,8 @@ class ProgressEvent:
     ``completed``/``total`` count *unique* experiments (duplicates in
     the submitted batch collapse to one). ``source`` is ``"cache"``
     when the result came from the persistent cache, ``"worker"`` when
-    a backend finished executing it, and ``"retry"`` when a
-    distributed dispatcher re-queued the task — retry events do not
+    a backend finished executing it, and ``"retry"`` when the
+    cluster dispatcher re-queued the task — retry events do not
     advance ``completed``.
     """
 
@@ -116,7 +116,7 @@ class Runner:
     backend:
         An explicit :class:`~repro.exec.ExecutionBackend` instance, a
         :class:`~repro.exec.BackendSpec`, or a spec string such as
-        ``"serial"``, ``"fork:8"``, ``"dist://h1:7070,h2:7070"`` or
+        ``"serial"``, ``"fork:8"`` or
         ``"cluster://host:7071?weight=3"`` (grammar in
         :mod:`repro.exec.spec`). Mutually exclusive with ``jobs > 1``.
     cache:

@@ -1,45 +1,41 @@
-"""Length-prefixed JSON framing for the distributed worker protocol.
+"""Length-prefixed JSON framing for the experiment cluster protocol.
 
-Every message on a worker connection is one *frame*: a 4-byte
+Every message on a cluster connection is one *frame*: a 4-byte
 big-endian unsigned length followed by that many bytes of payload.
 On an unauthenticated connection the payload is UTF-8 JSON encoding a
 single object; on an authenticated one it is a 32-byte HMAC-SHA256 tag
 followed by the JSON (see :class:`FrameAuth`). Frames are small (an
-experiment or report document), so the dispatcher and worker always
-read a whole frame before acting, and a truncated or oversized frame
-is a protocol error rather than a hang.
+experiment or report document), so every peer reads a whole frame
+before acting, and a truncated or oversized frame is a protocol error
+rather than a hang.
 
 Message types (the ``"type"`` key of the decoded object):
 
 ``run``
-    Dispatcher → worker: ``{"type": "run", "experiment": <Experiment
-    .to_dict()>}``. The worker executes the experiment and answers
-    with exactly one ``result`` or ``error`` frame. On cluster
-    connections the frame also carries a ``"task"`` id that the worker
-    echoes back. An optional ``"trace"`` key carries a
+    Dispatcher → worker: ``{"type": "run", "task": <id>, "experiment":
+    <Experiment.to_dict()>}``. The worker executes the experiment and
+    answers with exactly one ``result`` or ``error`` frame echoing the
+    ``"task"`` id. An optional ``"trace"`` key carries a
     ``TraceContext.to_dict()`` so the worker's spans join the caller's
     trace; workers that predate the key ignore it.
 ``result``
-    Worker → dispatcher: ``{"type": "result", "result":
-    <SystemReport.to_dict()>}``, optionally carrying ``"metrics"`` —
-    the worker's cumulative ``MetricsRegistry.snapshot()`` for merged
-    telemetry reporting — and ``"spans"`` — the span records the
-    worker opened while executing the task, for merged distributed
-    traces.
+    Worker → dispatcher (and dispatcher → client): ``{"type":
+    "result", "result": <SystemReport.to_dict()>}``, optionally
+    carrying ``"spans"`` — the span records opened while executing the
+    task, for merged distributed traces.
 ``error``
     Worker → dispatcher: ``{"type": "error", "error": <message>,
     "kind": <exception class name>}``. The task failed but the worker
     survives; the dispatcher decides whether to retry.
 ``ping`` / ``pong``
-    Health probe and its reply. Registered cluster workers send
-    ``ping`` as an idle heartbeat; the dispatcher answers ``pong``.
+    Health probe and its reply. Registered workers send ``ping`` as an
+    idle heartbeat; the dispatcher answers ``pong``.
 ``shutdown``
-    Dispatcher → worker: stop serving after acknowledging with
-    ``{"type": "ok"}``. On a cluster admin connection: stop the whole
-    dispatcher.
+    Admin client → dispatcher: stop the whole dispatcher after
+    acknowledging with ``{"type": "ok"}``.
 
-The cluster service (:mod:`repro.exec.cluster`) adds a second
-vocabulary on persistent connections:
+Every connection is a persistent session with the cluster dispatcher
+(:mod:`repro.exec.cluster`), which adds:
 
 ``hello`` / ``welcome``
     Session handshake. A connecting peer announces its role
@@ -281,29 +277,12 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 # -- message constructors -----------------------------------------------------------
 
-def run_request(experiment_doc: Dict[str, Any], *,
-                trace: Dict[str, Any] = None) -> Dict[str, Any]:
-    """A ``run`` frame; ``trace`` optionally attaches a
-    :meth:`~repro.obs.TraceContext.to_dict` so spans opened by the
-    executing worker land in the caller's trace. Readers that predate
-    the key ignore it."""
-    request = {"type": MSG_RUN, "experiment": experiment_doc}
-    if trace is not None:
-        request["trace"] = trace
-    return request
-
-
-def result_reply(report_doc: Dict[str, Any],
-                 metrics: Dict[str, Any] = None, *,
+def result_reply(report_doc: Dict[str, Any], *,
                  spans: list = None) -> Dict[str, Any]:
-    """A ``result`` frame; ``metrics`` optionally attaches the worker's
-    cumulative :meth:`~repro.obs.MetricsRegistry.snapshot` so the
-    dispatcher can merge per-worker telemetry, and ``spans`` the span
+    """A ``result`` frame; ``spans`` optionally attaches the span
     records (:meth:`~repro.obs.SpanTracer.snapshot`) the worker opened
-    for this task. Readers that predate either key ignore it."""
+    for this task. Readers that predate the key ignore it."""
     reply = {"type": MSG_RESULT, "result": report_doc}
-    if metrics is not None:
-        reply["metrics"] = metrics
     if spans is not None:
         reply["spans"] = spans
     return reply

@@ -1,31 +1,24 @@
-"""The distributed experiment worker: a small TCP task server.
+"""The experiment worker: a dial-out executor for the cluster.
 
-``python -m repro worker serve --port 7070`` turns any machine with
-the ``repro`` package into an execution endpoint for
-:class:`~repro.exec.DistributedBackend`. The server speaks the
-length-prefixed JSON protocol of :mod:`repro.exec.wire`, one request
-per connection: the dispatcher connects, sends a ``run`` frame
-carrying an ``Experiment.to_dict()`` document, and the worker answers
-with a ``result`` frame (the ``SystemReport.to_dict()`` payload) or an
-``error`` frame if the task raised. Executor exceptions never kill the
-server — the dispatcher owns the retry decision.
+``python -m repro worker serve --register HOST:PORT`` turns any
+machine with the ``repro`` package into an execution endpoint for an
+experiment cluster dispatcher (:mod:`repro.exec.cluster`).
+:func:`run_registered_worker` dials out to the dispatcher, holds one
+persistent authenticated connection, heartbeats while idle, executes
+``run`` frames as they arrive, and drains gracefully on shutdown. No
+inbound port is needed, so fleets behind NAT or in containers just
+work.
 
 Workers are deliberately sequential (one task at a time): parallelism
 comes from running more workers, which keeps each worker's memory
-footprint to a single simulation and makes health tracking in the
-dispatcher trivial.
+footprint to a single simulation. :class:`TaskExecutor` runs each task
+(through an optional worker-side result cache) and turns executor
+exceptions into ``error`` replies, so a failing task never kills the
+worker — the dispatcher owns the retry decision.
 
-:func:`spawn_local_workers` forks worker processes on this machine —
-the easy way to use every local core through the same code path as a
-remote fleet, and how the test-suite exercises fault handling.
-
-Besides the listen-and-accept mode above, a worker can *register* with
-an experiment cluster dispatcher (:mod:`repro.exec.cluster`) instead:
-:func:`run_registered_worker` dials out to the dispatcher, holds one
-persistent authenticated connection, heartbeats while idle, executes
-``run`` frames as they arrive, and drains gracefully on shutdown —
-``python -m repro worker serve --register HOST:PORT``. No inbound port
-is needed, so fleets behind NAT or in containers just work.
+:func:`spawn_registered_workers` forks registered workers on this
+machine — how ``--spawn-local`` and the test-suite put every local
+core behind the same dispatcher code path as a remote fleet.
 """
 
 from __future__ import annotations
@@ -37,27 +30,25 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from ..errors import BackendError, WireAuthError, WireProtocolError
 from ..obs import DEFAULT_DURATION_BUCKETS_NS, MetricsRegistry
-from .wire import (MSG_DRAIN, MSG_GOODBYE, MSG_OK, MSG_PING, MSG_PONG,
-                   MSG_RUN, MSG_SHUTDOWN, MSG_WELCOME, FrameAuth, error_reply,
+from .wire import (MSG_DRAIN, MSG_GOODBYE, MSG_PING, MSG_PONG, MSG_RUN,
+                   MSG_SHUTDOWN, MSG_WELCOME, FrameAuth, error_reply,
                    hello_message, recv_message, result_reply, send_message)
 
 
-class WorkerServer:
-    """A sequential one-task-per-connection experiment server.
+class TaskExecutor:
+    """Runs one ``run`` frame at a time for a registered worker.
+
+    A registered worker hands every ``run`` frame it receives to
+    :meth:`run` and ships the reply back to the dispatcher. Executor
+    exceptions become ``error`` replies and never kill the worker: the
+    dispatcher owns the retry decision.
 
     Parameters
     ----------
-    host / port:
-        Bind address. ``port=0`` asks the OS for an ephemeral port;
-        :meth:`bind` returns the port actually bound.
-    max_tasks:
-        Stop serving after this many ``run`` requests (``None`` =
-        serve forever). Gives tests and batch deployments a bounded
-        lifetime.
     cache_dir:
         When given, the worker consults/populates a
         :class:`~repro.exec.ResultCache` rooted there before executing
@@ -67,23 +58,12 @@ class WorkerServer:
         drift can never serve stale results.
     metrics:
         The worker's :class:`~repro.obs.MetricsRegistry` (defaults to a
-        fresh one). Cumulative ``exec.worker.*`` counters ride on every
-        ``result`` frame for merged reporting by the dispatcher.
+        fresh one), receiving the ``exec.worker.*`` instruments. The
+        worker's scrape endpoint and ``--emit-metrics`` dump read it.
     """
 
-    #: Idle limit for reading a request off an accepted connection.
-    REQUEST_TIMEOUT = 30.0
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 max_tasks: Optional[int] = None,
-                 cache_dir: Optional[Union[str, Path]] = None,
+    def __init__(self, *, cache_dir: Optional[Union[str, Path]] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.host = host
-        self.port = int(port)
-        self.max_tasks = max_tasks
-        self.tasks_served = 0
-        self._socket: Optional[socket.socket] = None
-        self._shutdown = False
         self.cache = None
         if cache_dir is not None:
             from .cache import ResultCache
@@ -99,86 +79,8 @@ class WorkerServer:
             "exec.worker.task_duration_ns", unit="ns",
             buckets=DEFAULT_DURATION_BUCKETS_NS)
 
-    def bind(self) -> int:
-        """Bind and listen; returns the bound port."""
-        if self._socket is not None:
-            return self.port
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            server.bind((self.host, self.port))
-            server.listen(16)
-        except OSError:
-            server.close()
-            raise
-        self._socket = server
-        self.port = server.getsockname()[1]
-        return self.port
-
-    def serve_forever(self) -> None:
-        """Accept and handle connections until shut down.
-
-        Returns after a ``shutdown`` frame, after ``max_tasks`` run
-        requests, or when :meth:`close` is called from another thread.
-        """
-        self.bind()
-        listener = self._socket
-        assert listener is not None
-        try:
-            while not self._shutdown:
-                if self.max_tasks is not None \
-                        and self.tasks_served >= self.max_tasks:
-                    break
-                try:
-                    connection, _ = listener.accept()
-                except OSError:
-                    break       # socket shut down under us: clean stop
-                with contextlib.closing(connection):
-                    self._handle(connection)
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        """Stop serving and release the socket.
-
-        Closing a listening socket does not wake a thread blocked in
-        ``accept()`` on Linux; shutting it down first does, so a
-        :meth:`serve_forever` on another thread returns promptly.
-        """
-        self._shutdown = True
-        listener, self._socket = self._socket, None
-        if listener is not None:
-            with contextlib.suppress(OSError):   # not connected (BSDs)
-                listener.shutdown(socket.SHUT_RDWR)
-            listener.close()
-
-    # -- request handling -----------------------------------------------------------
-
-    def _handle(self, connection: socket.socket) -> None:
-        connection.settimeout(self.REQUEST_TIMEOUT)
-        try:
-            request = recv_message(connection)
-        except (WireProtocolError, OSError):
-            return      # garbage or impatient client: drop silently
-        kind = request.get("type")
-        if kind == MSG_RUN:
-            self.tasks_served += 1
-            self._reply(connection, self._run(request))
-        elif kind == MSG_PING:
-            # Humans (and the wire tests) probing a standalone worker
-            # read the served count; no in-tree peer consumes it.
-            self._reply(connection, {
-                "type": MSG_PONG,
-                "tasks_served": self.tasks_served,  # repro: suppress REPRO602 -- operator probe
-            })
-        elif kind == MSG_SHUTDOWN:
-            self._reply(connection, {"type": MSG_OK})
-            self._shutdown = True
-        else:
-            self._reply(connection, error_reply(
-                BackendError(f"unknown request type {kind!r}")))
-
-    def _run(self, request: dict) -> dict:
+    def run(self, request: dict) -> dict:
+        """Execute one ``run`` frame; the ``result`` or ``error`` reply."""
         started = time.perf_counter_ns()
         try:
             document = request["experiment"]
@@ -198,8 +100,7 @@ class WorkerServer:
                 record.attrs["cache_hit"] = cache_hit
             self._tasks_counter.inc()
             self._duration_hist.observe(time.perf_counter_ns() - started)
-            return result_reply(report_doc, metrics=self.metrics.snapshot(),
-                                spans=tracer.snapshot())
+            return result_reply(report_doc, spans=tracer.snapshot())
         except Exception as error:      # noqa: BLE001 - survive any task
             self._errors_counter.inc()
             return error_reply(error)
@@ -223,65 +124,6 @@ class WorkerServer:
         from ..sim.system import SystemReport
         self.cache.put(experiment, SystemReport.from_dict(report_doc))
         return report_doc, False
-
-    @staticmethod
-    def _reply(connection: socket.socket, message: dict) -> None:
-        try:
-            send_message(connection, message)
-        except (WireProtocolError, OSError):
-            pass        # client went away: the dispatcher will retry
-
-
-def serve(host: str = "127.0.0.1", port: int = 0, *,
-          max_tasks: Optional[int] = None,
-          cache_dir: Optional[Union[str, Path]] = None,
-          emit_metrics: Optional[Union[str, Path]] = None,
-          metrics_port: Optional[int] = None,
-          announce: Optional[Callable[[str], None]] = None) -> int:
-    """Run a worker server in this process until shutdown.
-
-    Returns the number of tasks served. ``announce`` (if given)
-    receives one line per bound endpoint once the sockets are up —
-    first ``"listening on host:port"`` for the task socket, then
-    ``"metrics on http://.../metrics"`` when a scrape endpoint is
-    enabled — and the CLI prints them so scripts can scrape the
-    ephemeral ports. ``cache_dir`` enables the worker-side result
-    cache;
-    ``emit_metrics`` writes the worker's final registry snapshot as a
-    JSON-lines dump on shutdown; ``metrics_port`` additionally serves
-    the live registry at ``http://host:metrics_port/metrics`` in the
-    Prometheus text format for the worker's lifetime (``0`` asks the
-    OS for a free port; the endpoint is announced alongside the task
-    socket).
-    """
-    server = WorkerServer(host, port, max_tasks=max_tasks,
-                          cache_dir=cache_dir)
-    bound_port = server.bind()
-    scrape = None
-    if metrics_port is not None:
-        from ..obs import start_metrics_server
-        scrape = start_metrics_server(server.metrics, host=host,
-                                      port=metrics_port)
-    if announce is not None:
-        announce(f"listening on {server.host}:{bound_port}")
-        if scrape is not None:
-            announce(f"metrics on http://{scrape.endpoint}/metrics")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:   # pragma: no cover - interactive only
-        pass
-    finally:
-        server.close()
-        if scrape is not None:
-            scrape.close()
-        if emit_metrics is not None:
-            from ..obs import write_jsonl
-            with open(emit_metrics, "w") as stream:
-                write_jsonl(server.metrics.snapshot(), stream,
-                            meta={"role": "worker",
-                                  "endpoint": f"{server.host}:{bound_port}",
-                                  "tasks_served": server.tasks_served})
-    return server.tasks_served
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +185,7 @@ def run_registered_worker(dispatcher: Union[str, Tuple[str, int]], *,
         auth = FrameAuth.from_keyfile(keyfile)
     stop = stop_event if stop_event is not None else threading.Event()
     worker_name = name or f"worker-{os.getpid()}"
-    # Reuse the listening worker's executor (cache + telemetry) so both
-    # modes run tasks identically.
-    server = WorkerServer(cache_dir=cache_dir, metrics=metrics)
+    executor = TaskExecutor(cache_dir=cache_dir, metrics=metrics)
     served = 0
     handshake_failures = 0
     while not stop.is_set():
@@ -384,8 +224,7 @@ def run_registered_worker(dispatcher: Union[str, Tuple[str, int]], *,
                     continue
                 kind = message.get("type")
                 if kind == MSG_RUN:
-                    server.tasks_served += 1
-                    reply = server._run(message)
+                    reply = executor.run(message)
                     reply["task"] = message.get("task")
                     send_message(sock, reply, auth=auth)
                     served += 1
@@ -401,7 +240,7 @@ def run_registered_worker(dispatcher: Union[str, Tuple[str, int]], *,
                         # worker's scrape endpoint (--metrics-port)
                         # showing the whole cluster's exec.cluster.*
                         # instruments, not just exec.worker.*.
-                        server.metrics.update_from_snapshot(snapshot)
+                        executor.metrics.update_from_snapshot(snapshot)
                 elif kind in (MSG_GOODBYE, MSG_SHUTDOWN):
                     return served
                 # unknown frames: ignore
@@ -455,9 +294,9 @@ def spawn_registered_workers(count: int, dispatcher: str, *,
                              ) -> List[RegisteredWorker]:
     """Fork ``count`` workers that register with a cluster dispatcher.
 
-    The forked processes inherit test-registered workload kinds (like
-    :func:`spawn_local_workers`) and dial ``dispatcher``
-    (``"host:port"``) on start; they exit when the dispatcher says
+    Prefers the ``fork`` start method, so the processes inherit any
+    test-registered workload kinds. They dial ``dispatcher``
+    (``"host:port"``) on start and exit when the dispatcher says
     goodbye.
     """
     if count < 1:
@@ -496,107 +335,3 @@ def registered_worker_pool(count: int, dispatcher: str, *,
     finally:
         for worker in workers:
             worker.terminate()
-
-
-# ---------------------------------------------------------------------------
-# Local worker pools
-# ---------------------------------------------------------------------------
-
-def _local_worker_main(channel, host: str,
-                       max_tasks: Optional[int],
-                       cache_dir: Optional[str] = None) -> None:
-    """Child-process entry: bind, report the port, then serve."""
-    server = WorkerServer(host, 0, max_tasks=max_tasks, cache_dir=cache_dir)
-    try:
-        port = server.bind()
-    except OSError as error:    # pragma: no cover - bind races are rare
-        channel.send(("error", str(error)))
-        channel.close()
-        return
-    channel.send(("port", port))
-    channel.close()
-    server.serve_forever()
-
-
-class LocalWorker:
-    """Handle on one forked local worker process."""
-
-    def __init__(self, process: multiprocessing.process.BaseProcess,
-                 address: Tuple[str, int]) -> None:
-        self.process = process
-        self.address = address
-
-    @property
-    def endpoint(self) -> str:
-        return f"{self.address[0]}:{self.address[1]}"
-
-    def is_alive(self) -> bool:
-        return self.process.is_alive()
-
-    def terminate(self, timeout: float = 5.0) -> None:
-        """Kill the worker process (SIGTERM) and reap it."""
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout)
-
-
-def spawn_local_workers(count: int, *, host: str = "127.0.0.1",
-                        max_tasks: Optional[int] = None,
-                        cache_dir: Optional[Union[str, Path]] = None,
-                        start_timeout: float = 30.0) -> List[LocalWorker]:
-    """Fork ``count`` worker processes on this machine.
-
-    Prefers the ``fork`` start method (workers inherit any
-    test-registered workload kinds); falls back to the platform
-    default elsewhere. Each returned :class:`LocalWorker` is already
-    bound and accepting connections.
-    """
-    if count < 1:
-        raise BackendError(f"worker count must be >= 1, got {count}")
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else None)
-    workers: List[LocalWorker] = []
-    try:
-        for _ in range(count):
-            parent_channel, child_channel = context.Pipe()
-            cache_arg = str(cache_dir) if cache_dir is not None else None
-            process = context.Process(target=_local_worker_main,
-                                      args=(child_channel, host, max_tasks,
-                                            cache_arg),
-                                      daemon=True)
-            process.start()
-            child_channel.close()
-            if not parent_channel.poll(start_timeout):
-                raise BackendError("local worker did not report a port "
-                                   f"within {start_timeout:g}s")
-            kind, value = parent_channel.recv()
-            parent_channel.close()
-            if kind != "port":
-                raise BackendError(f"local worker failed to bind: {value}")
-            workers.append(LocalWorker(process, (host, int(value))))
-    except BaseException:
-        for worker in workers:
-            worker.terminate()
-        raise
-    return workers
-
-
-@contextlib.contextmanager
-def local_worker_pool(count: int, *, host: str = "127.0.0.1",
-                      max_tasks: Optional[int] = None,
-                      cache_dir: Optional[Union[str, Path]] = None,
-                      ) -> Iterator[List[LocalWorker]]:
-    """``with local_worker_pool(2) as workers:`` — spawn and clean up."""
-    workers = spawn_local_workers(count, host=host, max_tasks=max_tasks,
-                                  cache_dir=cache_dir)
-    try:
-        yield workers
-    finally:
-        for worker in workers:
-            worker.terminate()
-
-
-def worker_addresses(workers: Sequence[LocalWorker]) -> List[Tuple[str, int]]:
-    """The ``(host, port)`` endpoints of a local pool, dispatcher-ready."""
-    return [worker.address for worker in workers]

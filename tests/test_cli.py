@@ -112,65 +112,101 @@ class TestWorkerCli:
             build_parser().parse_args(["worker"])
 
     def test_serve_announces_and_honours_max_tasks(self, capsys):
-        """Drive a real serve() through one task over TCP."""
-        import re
-        import socket
+        """Drive a real registered worker through one task."""
         import threading
-        from repro.exec.wire import recv_message, send_message
+        from repro.errors import BackendError
+        from repro.exec import ClusterBackend, ClusterServer, Experiment
 
         codes = {}
+        with ClusterServer(max_retries=0) as server:
+            def run_worker():
+                codes["exit"] = main(["worker", "serve", "--register",
+                                      server.endpoint, "--max-tasks", "1",
+                                      "--heartbeat", "0.1"])
 
-        def run_server():
-            codes["exit"] = main(["worker", "serve", "--max-tasks", "1"])
-
-        thread = threading.Thread(target=run_server, daemon=True)
-        thread.start()
-        # Scrape the announced ephemeral port.
-        endpoint = None
-        for _ in range(100):
-            match = re.search(r"listening on ([\d.]+):(\d+)",
-                              capsys.readouterr().out)
-            if match:
-                endpoint = (match.group(1), int(match.group(2)))
-                break
-            thread.join(timeout=0.05)
-        assert endpoint, "server never announced its endpoint"
-        with socket.create_connection(endpoint, timeout=10) as conn:
-            conn.settimeout(10)
-            send_message(conn, {"type": "run", "experiment": "junk"})
-            assert recv_message(conn)["type"] == "error"
-        thread.join(timeout=10)
+            thread = threading.Thread(target=run_worker, daemon=True)
+            thread.start()
+            backend = ClusterBackend(server.endpoint, frame_timeout=30)
+            with pytest.raises(BackendError, match="1 attempts"):
+                list(backend.submit([Experiment("no-such-kind")]))
+            thread.join(timeout=10)
         assert not thread.is_alive()
         assert codes["exit"] == 0
+        captured = capsys.readouterr()
+        assert f"registered with {server.endpoint}" in captured.out
+        assert "stopped after 1 tasks" in captured.err
 
-    def test_workers_flag_parsed(self):
+    def test_serve_requires_register(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["worker", "serve"])
+        assert exit_info.value.code != 0
+        assert "--register" in capsys.readouterr().err
+
+    def test_workers_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["figure", "fig8", "--workers", "a:1"])
+        assert exit_info.value.code == 2
         args = build_parser().parse_args(
-            ["figure", "fig8", "--workers", "a:1,b:2",
-             "--task-timeout", "7"])
-        assert args.workers == "a:1,b:2"
+            ["figure", "fig8", "--task-timeout", "7"])
         assert args.task_timeout == 7.0
 
-    def test_make_runner_builds_distributed_backend(self):
+    def test_make_runner_builds_distributed_backend(self, monkeypatch):
+        import contextlib
+        import repro.cli
         from repro.cli import _runner_context
-        from repro.exec import DistributedBackend
+        from repro.exec import ClusterBackend
+        dispatchers = []
+        spawn_cluster = repro.cli.local_cluster
+
+        @contextlib.contextmanager
+        def recording_cluster(*args, **kwargs):
+            with spawn_cluster(*args, **kwargs) as cluster:
+                dispatchers.append(cluster.server.dispatcher)
+                yield cluster
+
+        monkeypatch.setattr(repro.cli, "local_cluster", recording_cluster)
         args = build_parser().parse_args(
-            ["figure", "fig8", "--workers", "a:1, b:2", "--no-cache",
+            ["figure", "fig8", "--spawn-local", "1", "--no-cache",
              "--task-timeout", "9"])
         with _runner_context(args) as runner:
-            assert isinstance(runner.backend, DistributedBackend)
-            assert runner.backend.addresses == [("a", 1), ("b", 2)]
-            assert runner.backend.task_timeout == 9.0
+            assert isinstance(runner.backend, ClusterBackend)
+            assert runner.backend.address[0] == "127.0.0.1"
             assert runner.cache is None
+            assert dispatchers[0].task_timeout == 9.0
+            assert dispatchers[0].metrics is runner.metrics
 
     def test_distributed_failure_is_a_clean_exit(self, tmp_path, capsys,
                                                  monkeypatch):
         """A dead endpoint surfaces as exit code 1, not a traceback."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cc"))
         code = main(["compare", "--benchmark", "GCC", "--scale", "0.1",
-                     "--cores", "1", "--workers", "127.0.0.1:1",
+                     "--cores", "1", "--backend", "cluster://127.0.0.1:1",
                      "--no-cache"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_dead_spawn_local_pool_is_a_clean_exit(self, capsys,
+                                                   monkeypatch):
+        """Every spawned worker gone: exit code 1 within seconds."""
+        import time
+        from repro.exec import cluster as cluster_module
+
+        spawn = cluster_module.spawn_registered_workers
+
+        def spawn_dead(*args, **kwargs):
+            workers = spawn(*args, **kwargs)
+            for worker in workers:
+                worker.terminate()
+            return workers
+
+        monkeypatch.setattr(cluster_module, "spawn_registered_workers",
+                            spawn_dead)
+        started = time.monotonic()
+        code = main(["compare", "--benchmark", "GCC", "--scale", "0.1",
+                     "--cores", "1", "--spawn-local", "2", "--no-cache"])
+        assert code == 1
+        assert time.monotonic() - started < 10
+        assert "2 local workers exited" in capsys.readouterr().err
 
 
 class TestExportConfig:
@@ -243,11 +279,28 @@ class TestObservabilityCli:
             ["figure", "fig12", "--spawn-local", "2"])
         assert args.spawn_local == 2
 
-    def test_spawn_local_conflicts_with_workers(self, capsys):
-        assert main(["compare", "--benchmark", "HMMER", "--scale", "0.1",
-                     "--spawn-local", "1",
-                     "--workers", "127.0.0.1:1"]) == 1
-        assert "at most one" in capsys.readouterr().err
+    def test_spawn_local_emits_cluster_metrics(self, tmp_path, capsys):
+        """--spawn-local runs an in-process cluster: the dump carries
+        its exec.cluster.* counters and serial-identical sim totals."""
+        from repro.obs import read_jsonl
+
+        def dump(path, *flags):
+            assert main(["compare", "--benchmark", "HMMER", "--scale",
+                         "0.1", "--cores", "1", "--no-cache",
+                         "--emit-metrics", str(path), *flags]) == 0
+            with open(path, encoding="utf-8") as stream:
+                return read_jsonl(stream)
+
+        serial = dump(tmp_path / "serial.jsonl")
+        cluster = dump(tmp_path / "cluster.jsonl", "--spawn-local", "2")
+        assert cluster.meta["backend"].startswith("cluster(")
+        assert cluster.metrics["exec.cluster.tasks_completed"]["value"] == 2
+
+        def sim(metrics):
+            return {name: entry for name, entry in metrics.items()
+                    if not name.startswith("exec.")}
+
+        assert sim(cluster.metrics) == sim(serial.metrics)
 
 
 class TestFlagSurface:
@@ -275,7 +328,7 @@ class TestFlagSurface:
         raise AssertionError(f"{option} missing from {subparser.prog}")
 
     def test_runner_flags_identical_across_compare_and_figure(self):
-        for option in ("--jobs", "--backend", "--workers", "--spawn-local",
+        for option in ("--jobs", "--backend", "--spawn-local",
                        "--task-timeout", "--no-cache", "--emit-metrics"):
             actions = [self.flag(self.subparser(cmd), option)
                        for cmd in ("compare", "figure")]
@@ -315,10 +368,9 @@ class TestFlagSurface:
             ["compare", "--backend", "cluster://hub:7071?weight=2"])
         assert args.backend == "cluster://hub:7071?weight=2"
 
-    def test_backend_conflicts_with_workers(self, capsys):
+    def test_backend_conflicts_with_spawn_local(self, capsys):
         assert main(["compare", "--benchmark", "HMMER", "--scale", "0.1",
-                     "--backend", "serial",
-                     "--workers", "127.0.0.1:1"]) == 1
+                     "--backend", "serial", "--spawn-local", "1"]) == 1
         assert "at most one" in capsys.readouterr().err
 
     def test_backend_serial_runs_end_to_end(self, capsys):

@@ -86,6 +86,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             EncryptionConfig(key=b"short")
 
+    def test_minor_counters_must_fit_the_counter_block(self):
+        # 64 minors share 448 bits after the major: 7 bits at most.
+        assert EncryptionConfig(minor_counter_bits=7).minor_counter_max == 127
+        with pytest.raises(ConfigError):
+            EncryptionConfig(minor_counter_bits=8)
+
     def test_bad_counter_write_policy(self):
         with pytest.raises(ConfigError):
             CounterCacheConfig(write_policy="writearound")

@@ -111,6 +111,20 @@ class TestShredComposition:
         result = controller.fetch_block(0)
         assert result.zero_filled and result.data == bytes(64)
 
+    def test_shredded_read_takes_the_shared_read_tail(self, controller,
+                                                      tiny_config):
+        """DEUCE reads go through the base controller's read tail, so
+        a shredded read records the same events as Silent Shredder."""
+        from repro.obs import EventRecorder
+        kinds = []
+        for ctrl in (controller, SilentShredderController(tiny_config)):
+            ctrl.events = EventRecorder()
+            ctrl.store_block(0, bytes(range(64)))
+            ctrl.shred_page(0)
+            assert ctrl.fetch_block(64).zero_filled
+            kinds.append([e["kind"] for e in ctrl.events.snapshot()])
+        assert kinds[0] == kinds[1] == ["shred", "zero_fill"]
+
     def test_write_after_shred_fresh_epoch(self, controller):
         data = bytes(range(64))
         controller.store_block(0, data)

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.errors import BackendError, ExperimentError
-from repro.exec import (DistributedBackend, ExecutionBackend, ForkPoolBackend,
-                        Runner, SerialBackend, experiment_pair,
+from repro.exec import (ClusterBackend, ExecutionBackend, ForkPoolBackend,
+                        Runner, SerialBackend, experiment_pair, local_cluster,
                         parse_address, resolve_backend, run_experiments,
                         spec_experiment)
 from repro.exec import backends as backends_module
@@ -55,7 +55,7 @@ class TestResolution:
     def test_describe_labels(self):
         assert SerialBackend().describe() == "serial"
         assert ForkPoolBackend(3).describe() == "fork-pool(3)"
-        assert "9001" in DistributedBackend([("box", 9001)]).describe()
+        assert ClusterBackend(("box", 9001)).describe() == "cluster(box:9001)"
 
 
 class TestAddressParsing:
@@ -72,8 +72,11 @@ class TestAddressParsing:
             parse_address(":7070")
 
     def test_distributed_needs_workers(self):
-        with pytest.raises(BackendError):
-            DistributedBackend([])
+        with pytest.raises(BackendError, match="no endpoint"):
+            ExecutionBackend.from_spec("cluster://")
+        with pytest.raises(BackendError, match=">= 1"):
+            with local_cluster(0):
+                pass
 
 
 class TestSubmitContract:

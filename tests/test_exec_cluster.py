@@ -264,6 +264,29 @@ class TestClusterFaults:
         assert retries, "the killed worker's task must be re-queued"
         assert len([e for e in events if e.source == "worker"]) == 6
 
+    def test_busy_worker_outlives_the_heartbeat_timeout(self):
+        """A worker is silent while it runs a task: a task longer than
+        the heartbeat timeout completes once, with no requeue."""
+        batch = nap_batch(1, seconds=1.5, tag="long")
+        events = []
+
+        def progress(event):
+            events.append(event)
+            # Fail fast: a dropped worker would re-queue the task forever.
+            assert event.source != "retry", "busy worker was dropped"
+
+        with cluster(heartbeat_timeout=0.5, tick=0.1,
+                     task_timeout=30) as server:
+            with registered_worker_pool(1, server.endpoint, heartbeat=0.1):
+                backend = ClusterBackend(server.address, frame_timeout=20)
+                reports = Runner(backend=backend, use_cache=False,
+                                 progress=progress).run(batch)
+            requeues = server.dispatcher.metrics.snapshot()[
+                "exec.cluster.requeues"]["value"]
+        assert [r.name for r in reports] == ["long-0"]
+        assert [e.source for e in events] == ["worker"]
+        assert requeues == 0
+
     def test_graceful_drain_loses_nothing(self):
         """Drain mid-batch: every in-flight and queued task completes
         exactly once, then new submissions are refused."""

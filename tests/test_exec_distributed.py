@@ -1,8 +1,10 @@
-"""The distributed backend: dispatch, determinism, fault tolerance.
+"""The distributed path: the experiment cluster run on one machine.
 
-Local worker processes are forked (`spawn_local_workers`), so
-workloads registered here are inherited by the workers — the fault
-injection below (crashes, sleeps, flaky failures) rides on that.
+Every distributed run goes through the cluster dispatcher. These cases
+drive it the way ``--spawn-local`` does, through ``local_cluster``: a
+dispatcher on a background thread plus forked registered workers.
+Workloads registered here are inherited by the forked workers — the
+fault injection below (crashes, sleeps, flaky failures) rides on that.
 """
 
 import json
@@ -13,11 +15,11 @@ import time
 import pytest
 
 from repro.analysis.figures import fig8_to_11_study
+from repro.cli import _runner_context, build_parser
 from repro.errors import BackendError, ExperimentError
-from repro.exec import (DistributedBackend, Experiment, ResultCache, Runner,
-                        experiment_pair, local_worker_pool, register_workload,
-                        spawn_local_workers, spec_experiment,
-                        worker_addresses)
+from repro.exec import (Experiment, ResultCache, Runner, experiment_pair,
+                        local_cluster, register_workload, spec_experiment)
+
 
 @register_workload("dist-napper")
 def _napper(system, params):
@@ -61,31 +63,30 @@ class TestDistributedDeterminism:
             batch.extend(experiment_pair(
                 spec_experiment(name, cores=1, scale=0.15)))
         serial = Runner(use_cache=False).run(batch)
-        with local_worker_pool(2) as workers:
-            backend = DistributedBackend(worker_addresses(workers))
-            distributed = Runner(backend=backend, use_cache=False).run(batch)
+        with local_cluster(2) as cluster:
+            distributed = Runner(backend=cluster.backend,
+                                 use_cache=False).run(batch)
         assert canonical(distributed) == canonical(serial)
 
-    def test_fig8_study_acceptance(self, tmp_path):
-        """The ISSUE acceptance: a fig8-11 study over 2 local workers
-        is byte-identical to the serial backend."""
+    def test_fig8_study_acceptance(self, tmp_path, monkeypatch):
+        """A fig8-11 study over ``--spawn-local 2`` is byte-identical to
+        the serial backend."""
         kwargs = dict(benchmarks=["GCC", "H264"], scale=0.15, cores=1)
         serial = fig8_to_11_study(
             runner=Runner(cache=ResultCache(tmp_path / "serial")), **kwargs)
-        with local_worker_pool(2) as workers:
-            backend = DistributedBackend(worker_addresses(workers))
-            distributed = fig8_to_11_study(
-                runner=Runner(backend=backend,
-                              cache=ResultCache(tmp_path / "dist")),
-                **kwargs)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli"))
+        args = build_parser().parse_args(
+            ["figure", "fig8", "--spawn-local", "2"])
+        with _runner_context(args) as runner:
+            assert runner.backend.describe().startswith("cluster(")
+            distributed = fig8_to_11_study(runner=runner, **kwargs)
         assert canonical(serial) == canonical(distributed)
 
     def test_results_cached_like_any_backend(self, tmp_path):
         cache = ResultCache(tmp_path)
         batch = nap_batch(3, seconds=0.01)
-        with local_worker_pool(2) as workers:
-            backend = DistributedBackend(worker_addresses(workers))
-            Runner(backend=backend, cache=cache).run(batch)
+        with local_cluster(2) as cluster:
+            Runner(backend=cluster.backend, cache=cache).run(batch)
         assert len(cache) == 3
         # Warm rerun needs no workers at all.
         events = []
@@ -95,25 +96,17 @@ class TestDistributedDeterminism:
 
 class TestFaultTolerance:
     def test_worker_killed_mid_batch_requeues(self):
-        """The ISSUE acceptance: kill one of two workers mid-batch; the
-        batch still completes and the retries surface as progress
-        events."""
+        """Kill one of two workers mid-batch; the batch still completes
+        and the re-queue surfaces as a retry progress event."""
         batch = nap_batch(8)
         events = []
-        workers = spawn_local_workers(2)
-        try:
-            backend = DistributedBackend(worker_addresses(workers),
-                                         task_timeout=60,
-                                         max_worker_failures=2)
-            runner = Runner(backend=backend, use_cache=False,
+        with local_cluster(2, task_timeout=60) as cluster:
+            runner = Runner(backend=cluster.backend, use_cache=False,
                             progress=events.append)
-            killer = threading.Timer(0.25, workers[0].terminate)
+            killer = threading.Timer(0.25, cluster.workers[0].terminate)
             killer.start()
             reports = runner.run(batch)
             killer.join()
-        finally:
-            for worker in workers:
-                worker.terminate()
         assert len(reports) == 8
         assert [r.name for r in reports] == [f"nap-{i}" for i in range(8)]
         retries = [e for e in events if e.source == "retry"]
@@ -127,25 +120,23 @@ class TestFaultTolerance:
         marker = str(tmp_path / "crashed-once")
         batch = [Experiment("dist-crasher", params={"marker": marker},
                             name="kamikaze")]
-        with local_worker_pool(2) as workers:
-            backend = DistributedBackend(worker_addresses(workers),
-                                         task_timeout=60,
-                                         max_worker_failures=3)
-            reports = Runner(backend=backend, use_cache=False).run(batch)
+        events = []
+        with local_cluster(2, task_timeout=60) as cluster:
+            reports = Runner(backend=cluster.backend, use_cache=False,
+                             progress=events.append).run(batch)
         assert len(reports) == 1
         assert os.path.exists(marker)
+        assert [e.source for e in events] == ["retry", "worker"]
 
     def test_retry_then_succeed(self, tmp_path):
-        """An executor exception is an error reply: retried with backoff
-        until it succeeds, visible as a retry progress event."""
+        """An executor exception is an error reply: retried until it
+        succeeds, visible as a retry progress event."""
         marker = str(tmp_path / "flaked-once")
         batch = [Experiment("dist-flaky", params={"marker": marker},
                             name="flaky-one")]
         events = []
-        with local_worker_pool(1) as workers:
-            backend = DistributedBackend(worker_addresses(workers),
-                                         task_timeout=60, max_retries=3)
-            reports = Runner(backend=backend, use_cache=False,
+        with local_cluster(1, task_timeout=60) as cluster:
+            reports = Runner(backend=cluster.backend, use_cache=False,
                              progress=events.append).run(batch)
         assert len(reports) == 1
         retries = [e for e in events if e.source == "retry"]
@@ -155,54 +146,58 @@ class TestFaultTolerance:
 
     def test_slow_worker_hits_timeout_then_exhausts(self):
         """A task slower than the per-task timeout burns its retry
-        budget and surfaces an ExperimentError naming the experiment."""
-        batch = [Experiment("dist-napper", params={"seconds": 30.0},
+        budget and surfaces an ExperimentError naming the experiment.
+
+        Each retry really re-runs the task once the worker is free, so
+        the task is kept short: four 1 s attempts (the default three
+        retries), each cut at 0.3 s.
+        """
+        batch = [Experiment("dist-napper", params={"seconds": 1.0},
                             name="slowpoke")]
-        with local_worker_pool(1) as workers:
-            backend = DistributedBackend(worker_addresses(workers),
-                                         task_timeout=0.3, max_retries=1,
-                                         backoff_base=0.01,
-                                         max_worker_failures=50)
-            with pytest.raises(ExperimentError, match="slowpoke"):
-                Runner(backend=backend, use_cache=False).run(batch)
+        started = time.monotonic()
+        with local_cluster(1, task_timeout=0.3) as cluster:
+            with pytest.raises(ExperimentError,
+                               match=r"slowpoke.*4 attempts.*0\.3s"):
+                Runner(backend=cluster.backend, use_cache=False).run(batch)
+            timeouts = cluster.server.dispatcher.metrics.snapshot()[
+                "exec.cluster.timeouts"]["value"]
+        assert timeouts == 4
+        assert time.monotonic() - started < 20
 
     def test_retries_exhausted_names_the_experiment(self, tmp_path):
         """A deterministic failure exhausts max_retries and the error
         carries the experiment label and attempt count."""
         batch = [Experiment("no-such-workload-kind", name="doomed")]
-        with local_worker_pool(1) as workers:
-            backend = DistributedBackend(worker_addresses(workers),
-                                         task_timeout=30, max_retries=2,
-                                         backoff_base=0.01)
-            with pytest.raises(BackendError, match=r"doomed.*3 attempts"):
-                Runner(backend=backend, use_cache=False).run(batch)
+        with local_cluster(1, task_timeout=30) as cluster:
+            with pytest.raises(BackendError, match=r"doomed.*4 attempts"):
+                Runner(backend=cluster.backend, use_cache=False).run(batch)
 
     def test_all_workers_dead_fails_the_batch(self):
-        """Endpoints that never answer: every worker is declared dead
-        and the batch fails instead of hanging."""
-        workers = spawn_local_workers(2)
-        addresses = worker_addresses(workers)
-        for worker in workers:
-            worker.terminate()
-        backend = DistributedBackend(addresses, connect_timeout=1.0,
-                                     backoff_base=0.01,
-                                     max_worker_failures=2)
-        with pytest.raises(BackendError, match="workers died"):
-            Runner(backend=backend, use_cache=False).run(nap_batch(3))
+        """Every local worker gone with work outstanding: the batch
+        fails within seconds instead of waiting out a timeout."""
+        with pytest.raises(BackendError, match="2 local workers exited"):
+            with local_cluster(2) as cluster:
+                for worker in cluster.workers:
+                    worker.terminate()
+                started = time.monotonic()
+                try:
+                    Runner(backend=cluster.backend,
+                           use_cache=False).run(nap_batch(3))
+                finally:
+                    elapsed = time.monotonic() - started
+        assert elapsed < 10
 
 
 class TestLocalWorkerPool:
     def test_spawn_and_terminate(self):
-        workers = spawn_local_workers(2)
-        try:
-            assert len({w.address for w in workers}) == 2
+        with local_cluster(2) as cluster:
+            workers = cluster.workers
+            assert len({w.process.pid for w in workers}) == 2
             assert all(w.is_alive() for w in workers)
-            assert all(":" in w.endpoint for w in workers)
-        finally:
-            for worker in workers:
-                worker.terminate()
+            assert ":" in cluster.server.endpoint
         assert not any(w.is_alive() for w in workers)
 
     def test_rejects_zero_workers(self):
         with pytest.raises(BackendError):
-            spawn_local_workers(0)
+            with local_cluster(0):
+                pass

@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import BackendError
 from repro.exec import BackendSpec, ExecutionBackend, Runner
-from repro.exec.backends import (DistributedBackend, ForkPoolBackend,
-                                 SerialBackend)
+from repro.exec.backends import ForkPoolBackend, SerialBackend
 from repro.exec.cluster import ClusterBackend
 
 
@@ -31,12 +30,16 @@ class TestParse:
             BackendSpec.parse("fork:0")
 
     def test_dist_with_addresses(self):
-        spec = BackendSpec.parse("dist://h1:7070,h2:7071")
-        assert spec.kind == "dist"
-        assert spec.addresses == ("h1:7070", "h2:7071")
+        """The fixed-worker-list scheme is gone: every distributed run
+        goes through cluster://, and the error names the kinds."""
+        for scheme in ("dist", "DIST"):
+            with pytest.raises(BackendError,
+                               match="serial, fork, cluster"):
+                BackendSpec.parse(f"{scheme}://h1:7070,h2:7071")
 
     def test_distributed_scheme_alias(self):
-        assert BackendSpec.parse("distributed://h:1").kind == "dist"
+        with pytest.raises(BackendError, match="serial, fork, cluster"):
+            BackendSpec.parse("distributed://h:1")
 
     def test_cluster_single_endpoint(self):
         spec = BackendSpec.parse("cluster://hub:7071?weight=3&client=nightly")
@@ -51,8 +54,8 @@ class TestParse:
             BackendSpec.parse("cluster://a:1,b:2")
 
     def test_rejects_bad_endpoints(self):
-        for bad in ("dist://", "dist://nohost", "dist://h:notaport",
-                    "dist://:7070"):
+        for bad in ("cluster://", "cluster://nohost",
+                    "cluster://h:notaport", "cluster://:7070"):
             with pytest.raises(BackendError):
                 BackendSpec.parse(bad)
 
@@ -79,7 +82,7 @@ class TestCoerceAndDescribe:
         assert BackendSpec.coerce("fork:2") == spec
 
     def test_describe_round_trips(self):
-        for text in ("serial", "fork:8", "dist://h1:7070,h2:7071",
+        for text in ("serial", "fork:8",
                      "cluster://hub:7071?client=x&weight=3"):
             spec = BackendSpec.parse(text)
             assert spec.describe() == text
@@ -103,17 +106,10 @@ class TestCreate:
         assert isinstance(fork, ForkPoolBackend)
         assert fork.jobs == 3
 
-    def test_dist_honours_options(self):
-        backend = BackendSpec.parse(
-            "dist://h:7070?task_timeout=5&max_retries=7").create()
-        assert isinstance(backend, DistributedBackend)
-        assert backend.task_timeout == 5.0
-        assert backend.max_retries == 7
-
     def test_explicit_task_timeout_wins(self):
-        backend = BackendSpec.parse(
-            "dist://h:7070?task_timeout=5").create(task_timeout=9.0)
-        assert backend.task_timeout == 9.0
+        spec = BackendSpec.parse("cluster://h:7070?frame_timeout=5")
+        assert spec.create().frame_timeout == 5.0
+        assert spec.create(task_timeout=9.0).frame_timeout == 9.0
 
     def test_cluster_honours_options(self, tmp_path):
         from repro.exec import FrameAuth
@@ -130,9 +126,9 @@ class TestCreate:
 
     def test_bad_option_values_rejected(self):
         with pytest.raises(BackendError, match="not a number"):
-            BackendSpec.parse("dist://h:1?task_timeout=soon").create()
+            BackendSpec.parse("cluster://h:1?frame_timeout=soon").create()
         with pytest.raises(BackendError, match="not an integer"):
-            BackendSpec.parse("dist://h:1?max_retries=few").create()
+            BackendSpec.parse("cluster://h:1?weight=few").create()
 
 
 class TestFromSpec:

@@ -1,4 +1,5 @@
-"""The length-prefixed JSON wire protocol and the worker server."""
+"""The length-prefixed JSON wire protocol, the task executor, and the
+dispatcher's handling of raw connections."""
 
 import socket
 import stat
@@ -8,12 +9,17 @@ import time
 
 import pytest
 
-from repro.errors import WireAuthError, WireProtocolError
-from repro.exec.wire import (AUTH_TAG_BYTES, MAX_FRAME_BYTES, FrameAuth,
-                             decode_body, decode_payload, encode_frame,
-                             error_reply, recv_message, result_reply,
-                             run_request, send_message)
-from repro.exec.worker import WorkerServer
+from repro.errors import BackendError, WireAuthError, WireProtocolError
+from repro.exec import ClusterServer, cluster_shutdown
+from repro.exec.wire import (AUTH_TAG_BYTES, MAX_FRAME_BYTES, MSG_RUN,
+                             FrameAuth, decode_body, decode_payload,
+                             encode_frame, error_reply, hello_message,
+                             recv_message, result_reply, send_message)
+from repro.exec.worker import TaskExecutor, run_registered_worker
+
+
+def run_frame(experiment_doc):
+    return {"type": MSG_RUN, "task": 1, "experiment": experiment_doc}
 
 
 def round_trip(message):
@@ -25,7 +31,7 @@ def round_trip(message):
 
 class TestFraming:
     def test_round_trip(self):
-        message = run_request({"workload": "spec", "params": {"x": 1}})
+        message = run_frame({"workload": "spec", "params": {"x": 1}})
         assert round_trip(message) == message
 
     def test_canonical_bytes(self):
@@ -51,7 +57,6 @@ class TestFraming:
             decode_body(b"[1, 2, 3]")
 
     def test_constructors(self):
-        assert run_request({"w": 1})["type"] == "run"
         assert result_reply({"ipc": 1.0})["type"] == "result"
         reply = error_reply(ValueError("boom"))
         assert reply == {"type": "error", "error": "boom",
@@ -75,7 +80,7 @@ class TestSocketTransport:
     def test_truncated_stream_is_protocol_error(self):
         left, right = self.socket_pair()
         try:
-            frame = encode_frame(run_request({"w": 1}))
+            frame = encode_frame(run_frame({"w": 1}))
             left.sendall(frame[:len(frame) - 3])
             left.close()
             with pytest.raises(WireProtocolError, match="mid-frame"):
@@ -110,7 +115,7 @@ class TestFrameAuth:
 
     def test_signed_round_trip(self):
         auth = FrameAuth(self.KEY)
-        message = run_request({"w": 1})
+        message = run_frame({"w": 1})
         frame = encode_frame(message, auth=auth)
         (length,) = struct.unpack(">I", frame[:4])
         payload = frame[4:4 + length]
@@ -178,85 +183,84 @@ class TestFrameAuth:
 
 
 class TestWorkerServer:
-    """Protocol-level behaviour, no experiments involved."""
+    """What is left of the worker server: the task executor a registered
+    worker runs, and the dispatcher it dials, facing odd peers."""
 
-    def serve_one(self, server):
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        return thread
-
-    def request(self, port, message):
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
-            conn.settimeout(10)
-            send_message(conn, message)
-            return recv_message(conn)
+    def session(self, server, role="worker"):
+        conn = socket.create_connection(server.address, timeout=10)
+        conn.settimeout(10)
+        send_message(conn, hello_message(role, "probe"))
+        return conn, recv_message(conn)
 
     def test_ping_pong_and_shutdown(self):
-        server = WorkerServer()
-        port = server.bind()
-        thread = self.serve_one(server)
-        assert self.request(port, {"type": "ping"})["type"] == "pong"
-        assert self.request(port, {"type": "shutdown"})["type"] == "ok"
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+        server = ClusterServer()
+        server.start()
+        try:
+            conn, welcome = self.session(server)
+            with conn:
+                assert welcome["type"] == "welcome"
+                send_message(conn, {"type": "ping"})
+                assert recv_message(conn)["type"] == "pong"
+            assert cluster_shutdown(server.endpoint)["type"] == "ok"
+            assert server.wait(timeout=10)
+        finally:
+            server.close()
 
     def test_unknown_request_gets_error_reply(self):
-        server = WorkerServer()
-        port = server.bind()
-        thread = self.serve_one(server)
+        server = ClusterServer()
+        server.start()
         try:
-            reply = self.request(port, {"type": "make-coffee"})
+            conn, reply = self.session(server, role="make-coffee")
+            conn.close()
             assert reply["type"] == "error"
             assert "make-coffee" in reply["error"]
         finally:
             server.close()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
 
-    def test_bad_run_request_survives_server(self):
+    def test_bad_run_frame_survives_executor(self):
         """A junk experiment produces an error reply, not a dead worker."""
-        server = WorkerServer()
-        port = server.bind()
-        thread = self.serve_one(server)
-        try:
-            reply = self.request(port, {"type": "run", "experiment": "junk"})
-            assert reply["type"] == "error"
-            # ... and the server still answers afterwards.
-            assert self.request(port, {"type": "ping"})["type"] == "pong"
-        finally:
-            server.close()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
+        executor = TaskExecutor()
+        reply = executor.run({"type": "run", "experiment": "junk"})
+        assert reply["type"] == "error"
+        # ... and the executor still runs the next task.
+        reply = executor.run({"type": "run", "experiment": {}})
+        assert reply["type"] == "error"
+        assert executor.metrics.snapshot()[
+            "exec.worker.errors"]["value"] == 2
 
     def test_max_tasks_bounds_lifetime(self):
-        server = WorkerServer(max_tasks=1)
-        port = server.bind()
-        thread = self.serve_one(server)
-        reply = self.request(port, {"type": "run", "experiment": "junk"})
-        assert reply["type"] == "error"
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert server.tasks_served == 1
+        """A registered worker leaves by drain after max_tasks tasks."""
+        from repro.exec import ClusterBackend, Experiment
+        with ClusterServer(max_retries=0) as server:
+            served = {}
+            thread = threading.Thread(
+                target=lambda: served.update(count=run_registered_worker(
+                    server.endpoint, max_tasks=1, heartbeat=0.1)),
+                daemon=True)
+            thread.start()
+            backend = ClusterBackend(server.endpoint, frame_timeout=30)
+            with pytest.raises(BackendError, match="1 attempts"):
+                list(backend.submit([Experiment("no-such-kind")]))
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert served["count"] == 1
 
     def test_garbage_connection_ignored(self):
-        server = WorkerServer()
-        port = server.bind()
-        thread = self.serve_one(server)
+        server = ClusterServer()
+        server.start()
         try:
-            with socket.create_connection(("127.0.0.1", port),
+            with socket.create_connection(server.address,
                                           timeout=10) as conn:
                 conn.sendall(b"\x00\x00\x00\x05junk!")
-            assert self.request(port, {"type": "ping"})["type"] == "pong"
+            conn, welcome = self.session(server)
+            with conn:
+                assert welcome["type"] == "welcome"
         finally:
             server.close()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
 
 
 class TestServersStopPromptly:
-    """Every serving thread exits within about a second of close() —
-    including one blocked in accept(), which closing a listening socket
-    alone does not wake on Linux."""
+    """Every serving thread exits within about a second of close()."""
 
     LIMIT = 1.0
 
@@ -267,20 +271,31 @@ class TestServersStopPromptly:
         assert not thread.is_alive()
         assert time.monotonic() - started < self.LIMIT
 
-    def test_worker_server_blocked_in_accept(self):
-        server = WorkerServer()
-        server.bind()
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        time.sleep(0.1)     # let it block in accept()
-        self.assert_stops(thread, server.close)
-
     def test_cluster_server(self):
-        from repro.exec import ClusterServer
         server = ClusterServer()
         server.start()
         thread = server._thread
         self.assert_stops(thread, server.close)
+
+    def test_cluster_server_hangs_up_on_handshaking_peer(self):
+        """A peer that never sent its hello is not left dangling."""
+        server = ClusterServer()
+        server.start()
+        try:
+            with socket.create_connection(server.address,
+                                          timeout=10) as conn:
+                deadline = time.monotonic() + 10
+                while (not server.dispatcher._connections
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert server.dispatcher._connections
+                started = time.monotonic()
+                server.close()
+                conn.settimeout(self.LIMIT)
+                assert conn.recv(1) == b""
+                assert time.monotonic() - started < self.LIMIT
+        finally:
+            server.close()
 
     def test_metrics_http_server(self):
         from repro.obs import MetricsRegistry
@@ -290,8 +305,6 @@ class TestServersStopPromptly:
         self.assert_stops(thread, server.close)
 
     def test_registered_worker_leaves_when_dispatcher_closes(self):
-        from repro.exec import ClusterServer
-        from repro.exec.worker import run_registered_worker
         server = ClusterServer()
         server.start()
         registered = threading.Event()

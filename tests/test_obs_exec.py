@@ -1,15 +1,14 @@
-"""Exec-layer telemetry: runner counters, worker wire round-trip,
+"""Exec-layer telemetry: runner counters, the worker's task executor,
 worker-side caching, and the distributed-equals-serial invariant."""
 
 import json
 
 import pytest
 
-from repro.exec import (DistributedBackend, Experiment, ResultCache, Runner,
+from repro.exec import (Experiment, ResultCache, Runner, local_cluster,
                         spec_experiment)
 from repro.exec.wire import MSG_RESULT, MSG_RUN
-from repro.exec.worker import (WorkerServer, local_worker_pool,
-                               worker_addresses)
+from repro.exec.worker import TaskExecutor
 from repro.obs import MetricsRegistry
 
 
@@ -65,13 +64,14 @@ class TestRunnerMetrics:
 
 
 class TestWorkerWire:
-    def test_result_frame_carries_metrics(self):
-        server = WorkerServer()
+    def test_run_counts_into_the_worker_registry(self):
+        executor = TaskExecutor()
         request = {"type": MSG_RUN,
                    "experiment": tiny_experiment().to_dict()}
-        reply = server._run(request)
+        reply = executor.run(request)
         assert reply["type"] == MSG_RESULT
-        metrics = reply["metrics"]
+        assert "metrics" not in reply
+        metrics = executor.metrics.snapshot()
         assert metrics["exec.worker.tasks_served"]["value"] == 1
         assert metrics["exec.worker.task_duration_ns"]["count"] == 1
         # The report document itself is still a loadable SystemReport.
@@ -80,30 +80,31 @@ class TestWorkerWire:
         assert report.metrics     # sim metrics embedded in the report
 
     def test_metrics_are_cumulative_across_tasks(self):
-        server = WorkerServer()
+        executor = TaskExecutor()
         request = {"type": MSG_RUN,
                    "experiment": tiny_experiment().to_dict()}
-        server._run(request)
-        reply = server._run(request)
-        assert reply["metrics"]["exec.worker.tasks_served"]["value"] == 2
+        executor.run(request)
+        executor.run(request)
+        snapshot = executor.metrics.snapshot()
+        assert snapshot["exec.worker.tasks_served"]["value"] == 2
 
     def test_worker_side_cache(self, tmp_path):
-        server = WorkerServer(cache_dir=tmp_path)
+        executor = TaskExecutor(cache_dir=tmp_path)
         request = {"type": MSG_RUN,
                    "experiment": tiny_experiment().to_dict()}
-        first = server._run(request)
-        second = server._run(request)
+        first = executor.run(request)
+        second = executor.run(request)
         assert first["result"] == second["result"]
-        metrics = second["metrics"]
+        metrics = executor.metrics.snapshot()
         assert metrics["exec.worker.cache.misses"]["value"] == 1
         assert metrics["exec.worker.cache.hits"]["value"] == 1
 
     def test_errors_counted_not_fatal(self):
-        server = WorkerServer()
-        reply = server._run({"type": MSG_RUN,
-                             "experiment": Experiment("bogus").to_dict()})
+        executor = TaskExecutor()
+        reply = executor.run({"type": MSG_RUN,
+                              "experiment": Experiment("bogus").to_dict()})
         assert reply["type"] == "error"
-        assert server.metrics.snapshot()["exec.worker.errors"]["value"] == 1
+        assert executor.metrics.snapshot()["exec.worker.errors"]["value"] == 1
 
 
 class TestDistributedMetrics:
@@ -114,11 +115,9 @@ class TestDistributedMetrics:
         serial.run([Experiment.from_dict(e.to_dict()) for e in batch])
         serial_snapshot = sim_metric_items(serial.metrics.snapshot())
 
-        with local_worker_pool(2) as workers:
-            registry = MetricsRegistry()
-            backend = DistributedBackend(worker_addresses(workers),
-                                         metrics=registry)
-            distributed = Runner(backend=backend, use_cache=False,
+        registry = MetricsRegistry()
+        with local_cluster(2, metrics=registry) as cluster:
+            distributed = Runner(backend=cluster.backend, use_cache=False,
                                  metrics=registry)
             distributed.run(batch)
         merged = distributed.metrics.snapshot()
@@ -126,6 +125,5 @@ class TestDistributedMetrics:
         assert sim_metric_items(merged) == serial_snapshot
         assert json.dumps(sim_metric_items(merged), sort_keys=True) \
             == json.dumps(serial_snapshot, sort_keys=True)
-        # Worker-side counters were shipped over the wire and merged.
-        assert merged["exec.worker.tasks_served"]["value"] == 2
-        assert merged["exec.dist.tasks_completed"]["value"] == 2
+        # The in-process dispatcher counts into the run's registry.
+        assert merged["exec.cluster.tasks_completed"]["value"] == 2

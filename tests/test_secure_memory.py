@@ -134,6 +134,23 @@ class TestReencryption:
         assert controller.fetch_block(64).data == b"\x77" * 64
         assert controller.fetch_block(128).data == b"\x88" * 64
 
+    def test_counter_persistence_round_trips(self, overflow_config):
+        """3-bit minors still pack into a 64 B counter block: write-
+        through persists every update, and every block reads back after
+        the counter cache is emptied."""
+        config = replace(overflow_config, counter_cache=replace(
+            overflow_config.counter_cache, write_policy="writethrough"))
+        controller = SecureMemoryController(config)
+        payloads = {offset * 64: bytes([offset + 1]) * 64
+                    for offset in range(8)}
+        for _ in range(3):      # past the 7-write overflow on block 0
+            for address, payload in payloads.items():
+                controller.store_block(address, payload)
+        assert controller.stats.counter_writebacks >= 24
+        controller.counter_cache.invalidate(0)
+        for address, payload in payloads.items():
+            assert controller.fetch_block(address).data == payload
+
     def test_reencryption_bumps_major_resets_minors(self, overflow_config):
         controller = SecureMemoryController(overflow_config)
         for i in range(8):
